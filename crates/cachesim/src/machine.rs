@@ -190,23 +190,19 @@ impl MachineStats {
     }
 }
 
-/// Largest data region (in lines) the replay memo will key; anything
-/// bigger is walked directly. Keeps the packed region key unambiguous.
-const MAX_REGION_LINES: u64 = 1 << 18;
-
 /// A machine instance: caches plus cycle counters.
 ///
 /// The simulators drive it with [`Machine::fetch_code`],
 /// [`Machine::read_data`], [`Machine::write_data`] and
 /// [`Machine::execute`]; it accumulates stall and execution cycles.
 ///
-/// Recurring sweeps are answered by two replay memoizers (see
-/// [`crate::replay`]): one over the I-cache + ITLB for code footprints,
-/// one over the D-cache + DTLB for data regions. Both are exact-replay
-/// tables over interned (cache tags ++ TLB entries) states; machines
-/// with a built-in L2 or a unified cache bypass them and simulate
-/// normally (a code or data sweep then touches state shared with the
-/// other reference stream, so per-sweep transitions would not compose).
+/// Recurring code-footprint sweeps are answered by a replay memoizer
+/// (see [`crate::replay`]) over the I-cache + ITLB: an exact-replay
+/// table over interned (cache tags ++ TLB entries) states. Machines
+/// with a built-in L2 or a unified cache bypass it and simulate
+/// normally (a code sweep then touches state shared with the data
+/// stream, so per-sweep transitions would not compose). Data sweeps
+/// always walk the SoA tag arrays directly.
 #[derive(Debug, Clone)]
 pub struct Machine {
     cfg: MachineConfig,
@@ -221,22 +217,11 @@ pub struct Machine {
     /// Code-footprint replay memo (I-cache ++ ITLB states), created
     /// lazily on the first [`Machine::fetch_code_footprint`] call.
     replay: Option<ReplayCache>,
-    /// Data-region replay memo (D-cache ++ DTLB states), created lazily
-    /// on the first [`Machine::read_data`]/[`Machine::write_data`] call
-    /// on an eligible configuration.
-    dreplay: Option<ReplayCache>,
     /// Scratch buffer for assembling combined state keys.
     key_buf: Vec<u64>,
-    /// Master switch for both memoizers (tests and benches compare
+    /// Master switch for the memoizer (tests and benches compare
     /// memoized against plain simulation with this).
     replay_enabled: bool,
-    /// Opt-in switch for the data-sweep memo. Off by default: data
-    /// regions vary so much more than code footprints that in the stock
-    /// experiment mix the memo-miss path (exporting and interning a
-    /// multi-KB combined key) costs more than the SoA bulk walk it
-    /// replaces — it only pays on workloads whose (D-state × region)
-    /// graph closes, like a fixed arrival loop replayed many times.
-    data_memo: bool,
     /// Why sweeps bypassed the memo, when any did (first reason sticks).
     bypass_reason: Option<&'static str>,
 }
@@ -253,16 +238,14 @@ impl Machine {
             instr_cycles: 0,
             stall_cycles: 0,
             replay: None,
-            dreplay: None,
             key_buf: Vec::new(),
             replay_enabled: true,
-            data_memo: false,
             bypass_reason: None,
             cfg,
         }
     }
 
-    /// Why this configuration can never use the replay memoizers, or
+    /// Why this configuration can never use the replay memoizer, or
     /// `None` when it is eligible. Sweeps on eligible machines can still
     /// bypass individually (footprint-id collision, state-table cap).
     pub fn replay_ineligibility(&self) -> Option<&'static str> {
@@ -282,25 +265,14 @@ impl Machine {
         self.bypass_reason
     }
 
-    /// Enables or disables both replay memoizers. Disabling materializes
+    /// Enables or disables the replay memoizer. Disabling materializes
     /// any live memo state first, so simulation continues exactly where
     /// it was; results are identical either way — only speed changes.
     pub fn set_replay_enabled(&mut self, on: bool) {
         if !on {
             self.sync_replay();
-            self.sync_dreplay();
         }
         self.replay_enabled = on;
-    }
-
-    /// Opts this machine's data sweeps into the replay memo. Off by
-    /// default — see the `data_memo` field note: it only pays on
-    /// workloads whose (D-state × region) graph closes.
-    pub fn set_data_memo(&mut self, on: bool) {
-        if !on {
-            self.sync_dreplay();
-        }
-        self.data_memo = on;
     }
 
     /// Whether sweeps on this configuration touch only the private
@@ -330,33 +302,11 @@ impl Machine {
         }
     }
 
-    /// Materializes `dreplay`'s live state token (if any) back into the
-    /// D-cache tag array and DTLB.
-    fn materialize_dstate(&mut self, dreplay: &mut ReplayCache) {
-        let Some(t) = dreplay.cur.take() else { return };
-        let Some(d) = &mut self.dcache else { return };
-        let key = dreplay.state(t);
-        let cache_words = (d.config().num_lines() as usize).min(key.len());
-        let (tags, tlb_words) = key.split_at(cache_words);
-        d.import_tags(tags);
-        if let Some(tlb) = &mut self.dtlb {
-            tlb.import_entries(tlb_words);
-        }
-    }
-
     /// [`Machine::materialize_istate`] on the owned code memo.
     fn sync_replay(&mut self) {
         if let Some(mut r) = self.replay.take() {
             self.materialize_istate(&mut r);
             self.replay = Some(r);
-        }
-    }
-
-    /// [`Machine::materialize_dstate`] on the owned data memo.
-    fn sync_dreplay(&mut self) {
-        if let Some(mut r) = self.dreplay.take() {
-            self.materialize_dstate(&mut r);
-            self.dreplay = Some(r);
         }
     }
 
@@ -366,18 +316,6 @@ impl Machine {
         self.key_buf.clear();
         self.key_buf.extend_from_slice(self.icache.export_tags());
         if let Some(tlb) = &self.itlb {
-            tlb.export_entries(&mut self.key_buf);
-        }
-    }
-
-    /// Assembles the current D-side combined key (D-cache tags ++ DTLB
-    /// entries) into `key_buf`.
-    fn build_dkey(&mut self) {
-        self.key_buf.clear();
-        if let Some(d) = &self.dcache {
-            self.key_buf.extend_from_slice(d.export_tags());
-        }
-        if let Some(tlb) = &self.dtlb {
             tlb.export_entries(&mut self.key_buf);
         }
     }
@@ -490,26 +428,14 @@ impl Machine {
         misses
     }
 
-    /// Counters of both replay memos combined (zero if never used).
+    /// The replay memo's counters (zero if never used).
     pub fn replay_stats(&self) -> ReplayStats {
-        let mut s = self.replay.as_ref().map(|r| r.stats()).unwrap_or_default();
-        if let Some(d) = &self.dreplay {
-            s.merge(&d.stats());
-        }
-        s
+        self.replay.as_ref().map(|r| r.stats()).unwrap_or_default()
     }
 
-    /// Counter-and-size snapshot of both replay memos combined.
+    /// Counter-and-size snapshot of the replay memo.
     pub fn replay_report(&self) -> ReplayReport {
-        let mut r = self.replay.as_ref().map(|r| r.report()).unwrap_or_default();
-        if let Some(d) = &self.dreplay {
-            let dr = d.report();
-            r.stats.merge(&dr.stats);
-            r.states += dr.states;
-            r.transitions += dr.transitions;
-            r.footprints += dr.footprints;
-        }
-        r
+        self.replay.as_ref().map(|r| r.report()).unwrap_or_default()
     }
 
     /// The configuration this machine was built with.
@@ -655,114 +581,12 @@ impl Machine {
         })
     }
 
-    /// One data sweep over `region`, memoized on eligible configurations
-    /// exactly like [`Machine::fetch_code_footprint`]: the region's line
-    /// range + kind is the footprint, the D-cache ++ DTLB state is the
-    /// key, and the recorded transition replays the walk's full
-    /// accounting (cache stats, TLB refills, stall cycles).
+    /// One data sweep over `region`: the full path including the
+    /// unified-cache and L2 variants.
     fn data_sweep(&mut self, region: Region, kind: AccessKind) -> u64 {
         if region.len == 0 {
             return 0;
         }
-        if !self.data_memo {
-            return self.data_sweep_walk(region, kind);
-        }
-        if !self.memo_eligible() {
-            if let Some(why) = self.replay_ineligibility() {
-                self.note_bypass_reason(why);
-            }
-            self.dreplay.get_or_insert_default().stats_mut().bypasses += 1;
-            return self.data_sweep_walk(region, kind);
-        }
-        let mut dreplay = self.dreplay.take().unwrap_or_default();
-        let ret = self.data_sweep_memo(&mut dreplay, region, kind);
-        self.dreplay = Some(dreplay);
-        ret
-    }
-
-    /// The memoized body of [`Machine::data_sweep`], mirroring
-    /// [`Machine::fetch_footprint_memo`] with the region's packed line
-    /// range + kind standing in for a footprint id.
-    fn data_sweep_memo(&mut self, dreplay: &mut ReplayCache, region: Region, kind: AccessKind) -> u64 {
-        let line_size = self.cfg.icache.line_size;
-        // analyze::allow(panic-path, reason = "line_size is a validated nonzero cache-geometry parameter")
-        let first = region.base / line_size;
-        // analyze::allow(panic-path, reason = "line_size is a validated nonzero cache-geometry parameter")
-        let n_lines = (region.base + region.len - 1) / line_size - first + 1;
-        if n_lines >= MAX_REGION_LINES || first >= (1 << 44) {
-            dreplay.stats_mut().bypasses += 1;
-            self.note_bypass_reason("oversized-region");
-            self.materialize_dstate(dreplay);
-            return self.data_sweep_walk(region, kind);
-        }
-        let kind_code = match kind {
-            AccessKind::Read => 0u64,
-            AccessKind::Write => 1,
-            AccessKind::InstrFetch => 2,
-        };
-        let packed = (first << 20) | (n_lines << 2) | kind_code;
-        let fid = dreplay.region_fid(packed);
-        let cur = match dreplay.cur {
-            Some(t) => t,
-            None => {
-                if dreplay.saturated() {
-                    dreplay.stats_mut().bypasses += 1;
-                    self.note_bypass_reason("state-table-full");
-                    return self.data_sweep_walk(region, kind);
-                }
-                self.build_dkey();
-                match dreplay.intern(&self.key_buf) {
-                    Some(t) => t,
-                    None => {
-                        dreplay.stats_mut().bypasses += 1;
-                        self.note_bypass_reason("state-table-full");
-                        return self.data_sweep_walk(region, kind);
-                    }
-                }
-            }
-        };
-        if let Some(tr) = dreplay.lookup(cur, fid) {
-            dreplay.stats_mut().hits += 1;
-            dreplay.cur = Some(tr.next);
-            if let Some(d) = &mut self.dcache {
-                d.record_bulk(tr.hits, tr.misses, kind);
-            }
-            if let Some(tlb) = &mut self.dtlb {
-                tlb.record_bulk(tr.tlb_hits, tr.tlb_misses);
-            }
-            self.stall_cycles += tr.stall;
-            return tr.ret;
-        }
-        dreplay.stats_mut().misses += 1;
-        self.materialize_dstate(dreplay);
-        let c0 = self.dcache.as_ref().map(|d| *d.stats()).unwrap_or_default();
-        let t0 = self.dtlb.as_ref().map(|t| *t.stats()).unwrap_or_default();
-        let s0 = self.stall_cycles;
-        let ret = self.data_sweep_walk(region, kind);
-        let c1 = self.dcache.as_ref().map(|d| *d.stats()).unwrap_or_default();
-        let t1 = self.dtlb.as_ref().map(|t| *t.stats()).unwrap_or_default();
-        let tr = Transition {
-            ret,
-            hits: c1.hits - c0.hits,
-            misses: c1.misses - c0.misses,
-            tlb_hits: t1.hits - t0.hits,
-            tlb_misses: t1.misses - t0.misses,
-            stall: self.stall_cycles - s0,
-            next: 0,
-        };
-        self.build_dkey();
-        if let Some(next) = dreplay.intern(&self.key_buf) {
-            // analyze::allow(alloc-path, reason = "replay-memo warm-up insert; steady state is a memo hit (hit rate CI-gated, tests/alloc.rs pins zero steady-state allocs)")
-            dreplay.insert(cur, fid, Transition { next, ..tr });
-            dreplay.cur = Some(next);
-        }
-        ret
-    }
-
-    /// The non-memoized data sweep: the full path including the unified-
-    /// cache and L2 variants. Callers on the memoized path must have
-    /// materialized any live D-memo state first.
-    fn data_sweep_walk(&mut self, region: Region, kind: AccessKind) -> u64 {
         if self.dcache.is_none() {
             // Unified cache: data accesses touch the code memo's cache.
             self.sync_replay();
@@ -801,7 +625,6 @@ impl Machine {
         if self.dcache.is_none() {
             self.sync_replay();
         }
-        self.sync_dreplay();
         let penalty = self.cfg.read_miss_penalty;
         let cache = self.dcache.as_mut().unwrap_or(&mut self.icache);
         let hit = cache.access_line(line, AccessKind::Read);
@@ -818,7 +641,6 @@ impl Machine {
     /// memo state is materialized first.
     pub fn flush_caches(&mut self) {
         self.sync_replay();
-        self.sync_dreplay();
         self.icache.flush();
         if let Some(d) = &mut self.dcache {
             d.flush();
@@ -838,7 +660,6 @@ impl Machine {
     /// first.
     pub fn flush_tlbs(&mut self) {
         self.sync_replay();
-        self.sync_dreplay();
         if let Some(t) = &mut self.itlb {
             t.flush();
         }
@@ -906,7 +727,6 @@ impl Machine {
 
     /// Direct access to the D-cache; `None` on unified configurations.
     pub fn dcache(&mut self) -> Option<&mut Cache> {
-        self.sync_dreplay();
         self.dcache.as_mut()
     }
 }
@@ -1146,7 +966,6 @@ mod tests {
     fn tlb_keyed_replay_matches_disabled_run() {
         let cfg = MachineConfig::synthetic_benchmark().with_alpha_tlbs();
         let mut memo = Machine::new(cfg);
-        memo.set_data_memo(true);
         let mut walk = Machine::new(cfg);
         walk.set_replay_enabled(false);
         // Deterministic xorshift for "random" footprints and regions.
@@ -1250,36 +1069,15 @@ mod tests {
     }
 
     #[test]
-    fn data_replay_steady_state_hits() {
-        let mut m = Machine::new(MachineConfig::synthetic_benchmark().with_alpha_tlbs());
-        m.set_data_memo(true);
-        for lap in 0..100u64 {
-            for slot in 0..8u64 {
-                m.read_data(Region::new(0x10_0000 + slot * 1536, 552));
-                m.write_data(Region::new(0x20_0000 + slot * 64, 58));
-            }
-            let _ = lap;
-        }
-        let s = m.replay_stats();
-        assert!(
-            s.hit_rate() > 0.9,
-            "steady-state data hit rate {:.3} should approach 1",
-            s.hit_rate()
-        );
-    }
-
-    #[test]
     fn footprint_replay_bypasses_ineligible_configs() {
         // A built-in L2 makes sweeps touch state shared between the code
-        // and data streams: both memos must stand aside, and say why.
+        // and data streams: the memo must stand aside, and say why.
         let mut m = Machine::new(MachineConfig::dec3000_400().with_board_cache());
-        m.set_data_memo(true);
         let fp: Vec<u64> = (0..64).collect();
         m.fetch_code_footprint(0, &fp);
         m.fetch_code_footprint(0, &fp);
-        m.read_data(Region::new(0x9000, 256));
         assert_eq!(m.replay_stats().hits, 0);
-        assert_eq!(m.replay_stats().bypasses, 3, "every sweep counted");
+        assert_eq!(m.replay_stats().bypasses, 2, "every sweep counted");
         assert_eq!(m.replay_bypass_reason(), Some("l2-configured"));
         // And the fetches still happened.
         assert!(m.stats().icache.fetch_misses > 0);
@@ -1302,22 +1100,6 @@ mod tests {
         m.fetch_code_footprint(0, &fp); // memo hit: tag array now stale
         assert!(m.icache().probe(0), "icache() must materialize first");
         assert!(!m.icache().probe(100 * 32));
-    }
-
-    #[test]
-    fn data_replay_survives_probe_after_hit() {
-        let mut m = Machine::new(MachineConfig::synthetic_benchmark());
-        m.set_data_memo(true);
-        m.read_data(Region::new(0x40_0000, 256));
-        m.flush_caches();
-        m.read_data(Region::new(0x40_0000, 256));
-        m.flush_caches();
-        m.read_data(Region::new(0x40_0000, 256)); // memo hit: tags stale
-        assert!(m.replay_stats().hits > 0);
-        assert!(
-            m.dcache().expect("split config").probe(0x40_0000),
-            "dcache() must materialize first"
-        );
     }
 
     #[test]

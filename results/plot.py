@@ -2,7 +2,7 @@
 """Plot the regenerated figures from the CSVs in this directory.
 
 Usage:
-    cargo run --release -p bench --bin all_experiments
+    cargo run --release -p bench -- all
     python3 results/plot.py [outdir]
 
 Produces one PNG per paper figure, visually comparable to the originals
