@@ -44,7 +44,6 @@ pub const REQUIRED_ROOTS: &[&str] = &[
     "smp-event-loop",
     "netstack-rx",
     "oatable-probe",
-    "simnet-measured-window",
     "smp-closed-loop",
     "signaling-call-path",
     "workload-dispatch",

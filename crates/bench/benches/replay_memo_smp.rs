@@ -1,5 +1,5 @@
 //! Microbenchmark of the footprint-replay memo on the multi-core path
-//! (`smp::SmpSim` over private replay-eligible machines):
+//! (`simnet::SmpSim` over private replay-eligible machines):
 //!
 //! * **miss path** — a cold simulator: every layer sweep on every core
 //!   walks its lines and records a (state, footprint) → transition.
@@ -20,7 +20,7 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 use cachesim::{Machine, MachineConfig};
 use ldlp::{BatchPolicy, Discipline};
 use simnet::traffic::{PoissonSource, TrafficSource};
-use smp::{tag_flows, DispatchPolicy, FlowArrival, SmpConfig, SmpSim};
+use simnet::{tag_flows, DispatchPolicy, FlowArrival, SmpConfig, SmpSim};
 
 fn workload() -> (SmpConfig, Vec<FlowArrival>) {
     let duration_s = 0.02;

@@ -13,13 +13,13 @@
 
 use crate::sweep::{average, grid, sums};
 use crate::{f, Observe, Output, RunOpts};
-use cachesim::MachineConfig;
+use cachesim::{Machine, MachineConfig, SharedL2};
 use ldlp::synth::paper_stack;
 use ldlp::{BatchPolicy, Discipline, StackEngine};
 use netstack::table::{mix64, CacheScheme, LookupCache, OaTable};
 use simnet::stats::SimReport;
 use simnet::traffic::{PoissonSource, TrafficSource};
-use simnet::{run_sim_lookup, LookupCharge, SimConfig};
+use simnet::{EventLoop, FlowArrival, ImpairCounters, MessageCharge, SimConfig};
 
 /// Paper workload: 552-byte signalling-sized messages.
 pub const MSG_BYTES: u32 = 552;
@@ -222,6 +222,8 @@ pub fn flow_sequence(pop: u64, n: usize, seed: u64, model: PopModel) -> Vec<u32>
 pub struct TableCharge {
     table: OaTable<u64, u32>,
     cache: LookupCache<u64, u32>,
+    /// Lookup-cache slot indices `0..slots`, the probe list of a scan.
+    scan: Vec<u32>,
     key_salt: u64,
     probes_total: u64,
     lookups: u64,
@@ -237,9 +239,11 @@ impl TableCharge {
         for flow in 0..pop {
             table.insert(mix64(key_salt ^ flow), flow as u32);
         }
+        let cache = LookupCache::new(scheme, cache_slots, seed);
         TableCharge {
             table,
-            cache: LookupCache::new(scheme, cache_slots, seed),
+            scan: (0..cache.slots() as u32).collect(),
+            cache,
             key_salt,
             probes_total: 0,
             lookups: 0,
@@ -260,8 +264,8 @@ impl TableCharge {
     }
 }
 
-impl LookupCharge for TableCharge {
-    fn charge(&mut self, flow_id: u32, machine: &mut cachesim::Machine) -> u64 {
+impl MessageCharge for TableCharge {
+    fn charge(&mut self, _: u8, flow_id: u32, _: u8, machine: &mut Machine, _: &mut SharedL2) {
         let key = mix64(self.key_salt ^ flow_id as u64);
         // The cache's linear scan stops at the hit slot (LRU's
         // move-to-front keeps hot flows near the front — Jain's
@@ -270,19 +274,19 @@ impl LookupCharge for TableCharge {
             Some(pos) => pos + 1,
             None => self.cache.len(),
         };
-        let scanned: Vec<u32> = (0..scanned_slots as u32).collect();
-        let mut dm = machine.read_data_probes(LOOKUP_CACHE_BASE, SLOT_BYTES, &scanned);
+        let scanned = self.scan.get(..scanned_slots).unwrap_or(&self.scan);
+        machine.read_data_probes(LOOKUP_CACHE_BASE, SLOT_BYTES, scanned);
         if self.cache.get(&key).is_some() {
-            return dm;
+            return;
         }
         self.lookups += 1;
         if self.table.get_mut(&key).is_some() {
             self.probes_total += self.table.last_probes().len() as u64;
-            dm += machine.read_data_probes(FLOW_TABLE_BASE, SLOT_BYTES, self.table.last_probes());
+            machine.read_data_probes(FLOW_TABLE_BASE, SLOT_BYTES, self.table.last_probes());
+            // analyze::allow(alloc-path, reason = "the lookup cache never exceeds its slot count, which is reserved at construction")
             self.cache.insert(key, flow_id);
-            dm += machine.write_data_slot(LOOKUP_CACHE_BASE, SLOT_BYTES, 0);
+            machine.write_data_slot(LOOKUP_CACHE_BASE, SLOT_BYTES, 0);
         }
-        dm
     }
 }
 
@@ -311,6 +315,14 @@ fn run_cell(
 ) -> (SimReport, [f64; 4]) {
     let arrivals = PoissonSource::new(RATE, MSG_BYTES, seed).take_until(duration_s);
     let flow_ids = flow_sequence(pop, arrivals.len(), seed, variant.popmodel);
+    let arrivals: Vec<FlowArrival> = arrivals
+        .iter()
+        .zip(&flow_ids)
+        .map(|(&a, &flow_id)| FlowArrival {
+            flow_id,
+            ..a.into()
+        })
+        .collect();
     let (machine, layers) = paper_stack(MachineConfig::synthetic_benchmark(), seed);
     let mut engine = StackEngine::new(machine, layers, discipline);
     let mut lookup = TableCharge::new(pop, variant.scheme, variant.cache_slots, seed);
@@ -319,7 +331,12 @@ fn run_cell(
         pool_seed: seed,
         ..SimConfig::default()
     };
-    let report = run_sim_lookup(&mut engine, &arrivals, &flow_ids, &sim_cfg, &mut lookup);
+    // The one-core loop, with the lookup charged per message.
+    let machine = *engine.machine().config();
+    let engines = std::slice::from_mut(&mut engine);
+    let mut lp = EventLoop::new(&sim_cfg.one_core(machine), engines);
+    lp.run(engines, &arrivals, Some(&mut lookup));
+    let report = lp.outcome(engines, ImpairCounters::default()).report;
     crate::perf::note_machine(engine.machine());
     let stats = lookup.cache_stats();
     let counts = [
@@ -432,10 +449,11 @@ mod tests {
 
     #[test]
     fn table_charge_hits_every_live_flow() {
-        let mut machine = cachesim::Machine::new(MachineConfig::synthetic_benchmark());
+        let mut machine = Machine::new(MachineConfig::synthetic_benchmark());
+        let mut fabric = SharedL2::new(cachesim::SharedL2Config::smp_default());
         let mut tc = TableCharge::new(500, CacheScheme::Lru, 4, 1);
         for flow in 0..500u32 {
-            tc.charge(flow, &mut machine);
+            tc.charge(0, flow, 0, &mut machine, &mut fabric);
         }
         let stats = tc.cache_stats();
         assert_eq!(stats.hits + stats.misses, 500);

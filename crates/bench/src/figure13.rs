@@ -6,7 +6,7 @@
 //! fixed no matter how the server behaves; production overload is
 //! closed-loop: clients that time out *retransmit*, so a slow
 //! server recruits its own extra load. Each cell here runs
-//! [`smp::SmpSim::run_closed`] against a [`ClosedPopulation`] of
+//! [`simnet::SmpSim::run_closed`] against a [`ClosedPopulation`] of
 //! retrying clients in three traffic classes (call signalling, DNS,
 //! bulk RPC) and reports goodput — *useful* acknowledgements per
 //! second — against throughput, which also counts work the server
@@ -31,7 +31,7 @@ use ldlp::{AdmissionPolicy, BatchPolicy, Discipline};
 use simnet::closed::{Class, ClosedPopulation};
 use simnet::stats::SimReport;
 use simnet::ClosedConfig;
-use smp::{DispatchPolicy, HandoffFlowControl, SmpConfig, SmpSim};
+use simnet::{DispatchPolicy, HandoffFlowControl, SmpConfig, SmpSim};
 
 /// Server cores per cell (the figure 9 smoke contrast point).
 pub const CORES: usize = 4;

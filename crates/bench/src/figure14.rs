@@ -27,7 +27,7 @@ use crate::{f, Observe, Output, RunOpts};
 use ldlp::{BatchPolicy, Discipline};
 use simnet::impair::ImpairCounters;
 use simnet::stats::{ClassReport, SimReport};
-use smp::{DispatchPolicy, SmpConfig, SmpSim, MAX_WCLASS};
+use simnet::{DispatchPolicy, SmpConfig, SmpSim, MAX_WCLASS};
 use workload::{
     class_counts, evaluate, generate, profiles, to_flow_arrivals, MixConfig, WireClass,
 };

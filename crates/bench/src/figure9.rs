@@ -1,7 +1,7 @@
 //! Figure 9: multi-core protocol processing — arrival rate × core
 //! count × dispatch policy, Conventional vs. LDLP.
 //!
-//! Each cell runs `crates/smp`'s deterministic N-core simulator:
+//! Each cell runs `simnet`'s deterministic N-core simulator:
 //! per-core split L1 caches over a shared coherent L2, RSS-style
 //! flow hashing / first-seen round-robin / LDLP-aware layer
 //! affinity (software pipelining with bounded hand-off queues).
@@ -20,7 +20,7 @@ use ldlp::{BatchPolicy, Discipline};
 use simnet::impair::ImpairCounters;
 use simnet::stats::SimReport;
 use simnet::traffic::{PoissonSource, TrafficSource};
-use smp::{tag_flows, DispatchPolicy, SmpConfig, SmpSim};
+use simnet::{tag_flows, DispatchPolicy, SmpConfig, SmpSim};
 
 /// Paper workload: 552-byte signalling-sized messages.
 pub const MSG_BYTES: u32 = 552;

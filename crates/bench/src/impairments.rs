@@ -20,7 +20,7 @@ use signaling::workload::{goal_machine, signaling_stack};
 use signaling::{lossy_call_arrivals, LossyCallConfig, RecoveryStats, RetryPolicy};
 use simnet::impair::{reorder_deliveries, GilbertElliott, ImpairConfig, ImpairState};
 use simnet::stats::SimReport;
-use simnet::{run_sim_impaired, SimConfig};
+use simnet::{EventLoop, SimConfig};
 
 /// Call-attempt rate of the sweep: near the goal machine's knee, so
 /// the impairments act on a loaded switch rather than an idle one.
@@ -328,7 +328,11 @@ fn run_discipline(
         pool_seed: seed,
         ..SimConfig::default()
     };
-    let report = run_sim_impaired(&mut engine, deliveries, &sim_cfg, net);
+    let machine = *engine.machine().config();
+    let engines = std::slice::from_mut(&mut engine);
+    let mut lp = EventLoop::new(&sim_cfg.one_core(machine), engines);
+    lp.run(engines, deliveries, None);
+    let report = lp.outcome(engines, net).report;
     crate::perf::note_machine(engine.machine());
     assert!(
         report.conservation_holds(),

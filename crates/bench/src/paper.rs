@@ -15,7 +15,6 @@ use netstack::footprint::{
     build_receive_ack_trace, Layer, PAPER_CODE_BYTES, PAPER_MUT_BYTES, PAPER_RO_BYTES,
 };
 use signaling::workload::{call_arrivals, goal_machine, signaling_stack, SIGNALING_LAYERS};
-use simnet::sim::run_sim_traced;
 use simnet::stats::SimReport;
 use simnet::traffic::{MmppSource, PoissonSource, TrafficSource};
 use simnet::{run_sim, SimConfig};
@@ -469,24 +468,31 @@ pub fn dynamics(opts: &RunOpts, _: Observe) -> Output {
     let arrivals = MmppSource::two_state(1000.0, 9000.0, 0.1, 552, 42).take_until(duration);
     let (m, layers) = paper_stack(MachineConfig::synthetic_benchmark(), 7);
     let mut engine = StackEngine::new(m, layers, Discipline::Ldlp(BatchPolicy::DCacheFit));
-    let mut records = Vec::new();
+    // The loop's batch spans carry each batch's start on the simulated
+    // clock, its size, and the queue depth left behind (`aux`).
+    engine.set_sink(obs::Sink::record(true), "");
     let cfg = SimConfig {
         duration_s: duration,
         ..SimConfig::default()
     };
-    let report = run_sim_traced(&mut engine, &arrivals, &cfg, Some(&mut records));
+    let report = run_sim(&mut engine, &arrivals, &cfg);
+    let cycles_per_s = engine.machine().config().clock_mhz * 1e6;
+    let mut rec = engine.take_sink().into_recorder().expect("sink attached");
+    let batch = rec.intern("batch");
+    let batches: Vec<&obs::SpanEvent> = rec.events().iter().filter(|ev| ev.name == batch).collect();
 
     let bin_s = 0.05;
     let bins = (duration / bin_s).ceil() as usize;
     let mut batch_sum = vec![0f64; bins];
     let mut batch_n = vec![0u32; bins];
-    let mut queue_max = vec![0usize; bins];
+    let mut queue_max = vec![0u64; bins];
     let mut arr_count = vec![0u32; bins];
-    for r in &records {
-        let b = ((r.time_s / bin_s) as usize).min(bins - 1);
-        batch_sum[b] += r.batch as f64;
+    for ev in &batches {
+        let time_s = ev.start as f64 / cycles_per_s;
+        let b = ((time_s / bin_s) as usize).min(bins - 1);
+        batch_sum[b] += f64::from(ev.batch);
         batch_n[b] += 1;
-        queue_max[b] = queue_max[b].max(r.queue_after + r.batch);
+        queue_max[b] = queue_max[b].max(ev.aux + u64::from(ev.batch));
     }
     for a in &arrivals {
         arr_count[((a.time_s / bin_s) as usize).min(bins - 1)] += 1;
@@ -514,7 +520,7 @@ pub fn dynamics(opts: &RunOpts, _: Observe) -> Output {
     out.notes.push(format!(
         "overall: {} arrivals, {} batches, mean batch {:.1}, mean latency {:.0} us, {} drops",
         arrivals.len(),
-        records.len(),
+        batches.len(),
         report.mean_batch,
         report.mean_latency_us,
         report.drops

@@ -38,7 +38,7 @@ impl BatchPolicy {
 
 /// Contiguous partition of a protocol stack's layers across pipeline
 /// stages — the dispatch-policy arithmetic behind LDLP-aware *layer
-/// affinity* (`crates/smp`): each core is pinned to a run of adjacent
+/// affinity* (`simnet::sim`): each core is pinned to a run of adjacent
 /// layers so its I-cache only ever holds that slice of the code.
 ///
 /// Returns the number of layers per stage. At most `num_layers` stages

@@ -22,7 +22,7 @@ pub const MAX_DATAGRAM: usize = 65_535;
 pub const REASSEMBLY_TIMEOUT_MS: u64 = 15_000;
 
 /// Simulated footprint of one reassembly-table slot, for the SMP
-/// shared-state cost model (`crates/smp`): the table is mutable state
+/// shared-state cost model (`simnet::sim`): the table is mutable state
 /// shared by every core that processes fragments, so each per-message
 /// lookup/update goes through the shared L2 with coherence accounting.
 /// One slot ≈ a descriptor header plus the hole list — two 32-byte

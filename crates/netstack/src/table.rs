@@ -507,7 +507,7 @@ impl<K: Eq + Clone, V: Clone> LookupCache<K, V> {
         LookupCache {
             scheme,
             cap: slots.clamp(1, MAX_CACHE_SLOTS),
-            entries: Vec::new(),
+            entries: Vec::with_capacity(slots.clamp(1, MAX_CACHE_SLOTS)),
             // xorshift64 state must be non-zero.
             rng: mix64(seed) | 1,
             stats: LookupCacheStats::default(),
@@ -577,6 +577,7 @@ impl<K: Eq + Clone, V: Clone> LookupCache<K, V> {
             }
             if self.scheme == CacheScheme::Lru && pos > 0 {
                 let e = self.entries.remove(pos);
+                // analyze::allow(alloc-path, reason = "entries never exceed cap, which is reserved at construction; insert shifts in place")
                 self.entries.insert(0, e);
             }
             return;
@@ -596,6 +597,7 @@ impl<K: Eq + Clone, V: Clone> LookupCache<K, V> {
                 }
             }
         }
+        // analyze::allow(alloc-path, reason = "entries never exceed cap, which is reserved at construction; insert shifts in place")
         self.entries.insert(0, (key, value));
     }
 

@@ -340,7 +340,7 @@ impl PcbTable {
 
     /// Lookup by socket id (shared).
     pub fn get(&self, id: SocketId) -> Option<&Pcb> {
-        // analyze::allow(charge-coverage, reason = "name-collision edge (untyped .get in run_core); PCB probe costs are charged via the bench TableCharge path")
+        // analyze::allow(charge-coverage, reason = "name-collision edge (untyped .get in weighted_fair_admit); PCB probe costs are charged via the bench TableCharge path")
         let idx = *self.by_id.get(&id)?;
         self.pcbs.get(idx)
     }

@@ -16,8 +16,9 @@ pub type NameId = u16;
 
 /// One recorded span (or instant event, when `dur == 0`).
 ///
-/// `start`/`dur` are in the *recorder's* time unit — machine cycles
-/// for engine/sim recorders, simulated milliseconds for netstack
+/// `start`/`dur` are in the *recorder's* time unit — cycles for
+/// engine/sim recorders (the event loop stamps `start` on its
+/// simulated clock), simulated milliseconds for netstack
 /// interface recorders. A recorder never mixes units; the exporter is
 /// told the unit scale per recorder ([`crate::TracePart::units_per_us`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,6 +193,17 @@ impl Recorder {
     pub fn record_value(&mut self, name: NameId, v: u64) {
         if let Some(h) = self.values.get_mut(usize::from(name)) {
             h.record(v);
+        }
+    }
+
+    /// Shifts the start of every event recorded since `mark` (an
+    /// earlier [`Recorder::events`] length) by `delta`, wrapping — to
+    /// rebase spans stamped on one clock onto another.
+    pub fn rebase_since(&mut self, mark: usize, delta: u64) {
+        if let Some(evs) = self.events.get_mut(mark..) {
+            for ev in evs {
+                ev.start = ev.start.wrapping_add(delta);
+            }
         }
     }
 

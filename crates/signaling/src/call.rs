@@ -42,18 +42,6 @@ pub struct SwitchStats {
     pub protocol_errors: u64,
 }
 
-/// Simulated footprint of one VC-table entry, for the SMP shared-state
-/// cost model (`crates/smp`): the call table is mutable state shared by
-/// every core that handles signaling messages, so each per-message
-/// state-machine step goes through the shared L2 with coherence
-/// accounting. One entry ≈ call state + VCI map — two 32-byte lines.
-pub const CALL_SLOT_BYTES: u64 = 64;
-/// Simulated VC-table capacity used by the SMP model (a modest switch
-/// port; the in-memory [`SignalingSwitch`] capacity is per-instance).
-pub const CALL_TABLE_SLOTS: u64 = 64;
-/// Total simulated footprint of the shared call table.
-pub const CALL_TABLE_BYTES: u64 = CALL_TABLE_SLOTS * CALL_SLOT_BYTES;
-
 /// The network-side call controller of one switch port.
 ///
 /// The call table is an open-addressing map (`netstack::table`): at the

@@ -9,8 +9,8 @@
 //! call costs the switch processing work. This module generates the
 //! delivery stream a switch actually sees when the paired SETUP/RELEASE
 //! load of [`crate::workload::call_arrivals`] crosses an impairment
-//! channel, which is exactly what `run_sim_impaired` consumes — the goal
-//! experiment rerun under loss.
+//! channel, which is exactly what the one-core event loop
+//! (`simnet::EventLoop`) consumes — the goal experiment rerun under loss.
 //!
 //! Channel semantics per transmission: a *dropped* message delivers
 //! nothing and the timer fires; a *corrupted* message delivers its bytes
@@ -123,7 +123,7 @@ fn send_reliable(
 
 /// Generates the delivery stream of the paired SETUP/RELEASE workload
 /// across an impairment channel with retransmission. Returns the
-/// time-sorted deliveries (feed to `simnet::run_sim_impaired`), the
+/// time-sorted deliveries (feed to `simnet::EventLoop::run`), the
 /// channel counters, and the recovery bookkeeping.
 ///
 /// With a transparent channel this reproduces

@@ -12,7 +12,8 @@
 //! The channel never reorders time backwards: a reordered packet is held
 //! and re-released at the timestamp of a later delivered packet (at most
 //! [`ImpairConfig::reorder_depth`] packets later), so the output stream
-//! stays sorted and can be fed straight to [`crate::sim::run_sim_impaired`].
+//! stays sorted and can be fed straight to the event loop
+//! ([`crate::sim::EventLoop::run`]).
 
 use crate::traffic::{Arrival, TrafficSource};
 use rand::rngs::StdRng;

@@ -1,21 +1,21 @@
 //! Structure-of-arrays descriptor ring for inter-core hand-offs.
 //!
-//! The pipeline stages used to park whole `Pending` structs (a
-//! [`SimMessage`] plus per-message accounting) in a
-//! [`simnet::Handoff`]'s `VecDeque`. Every scheduler pass scans the
-//! queue front for takeable work, and with array-of-structs layout each
-//! probed element drags a full 48-byte descriptor through the L1 even
-//! though the scan only reads the ready time and the buffer length.
+//! Pipeline stages park each handed-off message (a [`SimMessage`] plus
+//! per-message accounting) in the downstream stage's ring. Every
+//! scheduler pass scans the ring front for takeable work, and with an
+//! array-of-structs layout each probed element would drag a full
+//! 48-byte descriptor through the L1 even though the scan only reads
+//! the ready time and the buffer length.
 //!
-//! [`DescRing`] keeps the same bounded-FIFO semantics (non-decreasing
-//! ready times, refuse-when-full, producer/consumer sequence numbers)
-//! but stores each descriptor field in its own fixed-capacity column:
-//! headers (message id, buffer base/len, corruption flag), owners
-//! (flow id), and timestamps (ready cycle, arrival cycle) live in
-//! parallel arrays indexed by ring slot. The hot candidate scan in
-//! `SmpSim::run_batch` then touches exactly two columns, and all
+//! [`DescRing`] is a bounded FIFO (non-decreasing ready times,
+//! refuse-when-full, producer/consumer sequence numbers) that stores
+//! each descriptor field in its own fixed-capacity column: headers
+//! (message id, buffer base/len, corruption flag), owners (flow id),
+//! and timestamps (ready cycle, arrival cycle) live in parallel arrays
+//! indexed by ring slot. The hot candidate scan in
+//! `EventLoop::run_batch` then touches exactly two columns, and all
 //! storage is allocated once at construction — the steady-state run
-//! loop stays allocation-free (pinned by `tests/alloc.rs`).
+//! loop stays allocation-free (pinned by `crates/smp/tests/alloc.rs`).
 
 use cachesim::Region;
 use ldlp::SimMessage;
@@ -33,9 +33,8 @@ pub(crate) struct Desc {
 }
 
 /// Bounded SoA ring of hand-off descriptors with per-item visibility
-/// times. Mirrors the [`simnet::Handoff`] contract: FIFO order,
-/// non-decreasing ready times, `push` refuses (rather than drops) when
-/// full, and `pushed`/`popped` are the producer/consumer descriptor
+/// times: FIFO order, non-decreasing ready times, `push` refuses
+/// (rather than drops) when full, and `pushed`/`popped` are the producer/consumer descriptor
 /// sequence numbers (`pushed % cap` is the ring slot the next push
 /// writes, which is what prices the descriptor-window fabric traffic).
 #[derive(Debug, Clone)]

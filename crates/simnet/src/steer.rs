@@ -1,6 +1,6 @@
 //! Flow identity and packet-to-core dispatch.
 //!
-//! The paper's traffic model ([`simnet::traffic`]) knows arrival times
+//! The paper's traffic model ([`crate::traffic`]) knows arrival times
 //! and sizes but not *flows*; a multi-core NIC steers by flow, so this
 //! module synthesizes a deterministic flow population and three
 //! dispatch policies:
@@ -24,9 +24,10 @@
 //! deterministic and seed-stable by construction (pinned by the
 //! property tests in `tests/properties.rs`).
 
+use crate::impair::ImpairedArrival;
+use crate::traffic::Arrival;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use simnet::{Arrival, ImpairedArrival};
 use std::collections::BTreeMap;
 
 /// How arrivals are dispatched to cores.
@@ -52,7 +53,7 @@ impl DispatchPolicy {
 }
 
 /// A connection 5-tuple in the simulated address plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlowKey {
     /// Source IPv4 address.
     pub src_ip: u32,
@@ -133,31 +134,49 @@ pub struct FlowArrival {
     pub wclass: u8,
 }
 
-/// Tags each arrival with a flow drawn uniformly from a population of
-/// `flows` synthesized flows. Deterministic per `seed`.
-pub fn tag_flows(arrivals: &[Arrival], flows: u32, seed: u64) -> Vec<FlowArrival> {
-    let clean: Vec<ImpairedArrival> = arrivals.iter().copied().map(Into::into).collect();
-    tag_impaired(&clean, flows, seed)
+/// An untagged delivery: flow 0 with the all-zero tuple, class 0 — what
+/// a one-core run (which never steers) carries.
+impl From<Arrival> for FlowArrival {
+    fn from(a: Arrival) -> Self {
+        ImpairedArrival::from(a).into()
+    }
 }
 
-/// [`tag_flows`] for a stream that already went through an impairment
-/// channel (duplicates share their original's flow only by chance; each
-/// delivery draws independently, which keeps the draw budget fixed at
-/// one per delivery).
-pub fn tag_impaired(deliveries: &[ImpairedArrival], flows: u32, seed: u64) -> Vec<FlowArrival> {
+/// An untagged delivery, as for [`Arrival`].
+impl From<ImpairedArrival> for FlowArrival {
+    fn from(d: ImpairedArrival) -> Self {
+        FlowArrival {
+            time_s: d.time_s,
+            bytes: d.bytes,
+            corrupted: d.corrupted,
+            flow_id: 0,
+            key: FlowKey::default(),
+            wclass: 0,
+        }
+    }
+}
+
+/// Tags each arrival — clean ([`Arrival`]) or out of an impairment
+/// channel ([`ImpairedArrival`]) — with a flow drawn uniformly from a
+/// population of `flows` synthesized flows. Deterministic per `seed`;
+/// every delivery draws independently (duplicates share their
+/// original's flow only by chance), which keeps the draw budget fixed at
+/// one per delivery.
+pub fn tag_flows<A: Copy + Into<FlowArrival>>(
+    arrivals: &[A],
+    flows: u32,
+    seed: u64,
+) -> Vec<FlowArrival> {
     let flows = flows.max(1);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x00f7_0e15);
-    deliveries
+    arrivals
         .iter()
-        .map(|d| {
+        .map(|&a| {
             let flow_id = rng.random_range(0..flows);
             FlowArrival {
-                time_s: d.time_s,
-                bytes: d.bytes,
-                corrupted: d.corrupted,
                 flow_id,
                 key: FlowKey::synth(flow_id, seed),
-                wclass: 0,
+                ..a.into()
             }
         })
         .collect()
@@ -184,10 +203,14 @@ impl Steerer {
         }
     }
 
-    /// The entry core for a packet of `flow`. Pure for FlowHash and
-    /// LayerAffinity; for RoundRobin the first packet of a flow claims
-    /// the next core and the mapping is remembered.
+    /// The entry core for a packet of `flow`: always 0 with one core
+    /// (nothing is hashed). Pure for FlowHash and LayerAffinity; for
+    /// RoundRobin the first packet of a flow claims the next core and
+    /// the mapping is remembered.
     pub fn core_for(&mut self, flow: &FlowKey) -> usize {
+        if self.cores == 1 {
+            return 0;
+        }
         match self.policy {
             // analyze::allow(panic-path, reason = "cores >= 1 is asserted by SmpConfig construction")
             DispatchPolicy::FlowHash => flow.rss_hash() as usize % self.cores,

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use simnet::impair::{impair_arrivals, ImpairConfig};
 use simnet::stats::percentile;
 use simnet::traffic::{PoissonSource, TrafficSource};
-use simnet::{run_sim_impaired, SimConfig};
+use simnet::{EventLoop, SimConfig};
 
 use cachesim::MachineConfig;
 use ldlp::synth::paper_stack;
@@ -118,7 +118,11 @@ proptest! {
             pool_seed: seed,
             ..SimConfig::default()
         };
-        let r = run_sim_impaired(&mut engine, &deliveries, &cfg, counters);
+        let machine = *engine.machine().config();
+        let engines = std::slice::from_mut(&mut engine);
+        let mut lp = EventLoop::new(&cfg.one_core(machine), engines);
+        lp.run(engines, &deliveries, None);
+        let r = lp.outcome(engines, counters).report;
         prop_assert!(r.conservation_holds(), "conservation violated: {r:?}");
         prop_assert_eq!(r.offered, deliveries.len() as u64, "every delivery is offered");
         prop_assert_eq!(r.net_duplicated, counters.duplicated);

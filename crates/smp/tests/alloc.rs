@@ -13,7 +13,7 @@ use std::cell::Cell;
 
 use ldlp::{BatchPolicy, Discipline};
 use simnet::traffic::{PoissonSource, TrafficSource};
-use smp::{tag_flows, DispatchPolicy, FlowArrival, SmpConfig, SmpSim};
+use simnet::{tag_flows, DispatchPolicy, FlowArrival, SmpConfig, SmpSim};
 
 struct CountingAlloc;
 

@@ -14,9 +14,8 @@
 //!   duplication + corruption impairments, for every dispatch policy.
 
 use proptest::prelude::*;
-use smp::{
-    run_smp_impaired, tag_flows, tag_impaired, DispatchPolicy, FlowKey, HandoffFlowControl,
-    SmpConfig, SmpSim, Steerer,
+use simnet::{
+    run_smp, tag_flows, DispatchPolicy, FlowKey, HandoffFlowControl, SmpConfig, SmpSim, Steerer,
 };
 
 use ldlp::{AdmissionPolicy, BatchPolicy, Discipline};
@@ -143,7 +142,7 @@ proptest! {
                 ..ImpairConfig::default()
             },
         );
-        let tagged = tag_impaired(&deliveries, 32, seed);
+        let tagged = tag_flows(&deliveries, 32, seed);
         let discipline = if ldlp {
             Discipline::Ldlp(BatchPolicy::DCacheFit)
         } else {
@@ -154,7 +153,7 @@ proptest! {
             placement_seed: seed,
             ..SmpConfig::new(cores, policies()[policy_idx], discipline)
         };
-        let out = run_smp_impaired(&cfg, &tagged, counters);
+        let out = run_smp(&cfg, &tagged, counters);
         let r = &out.report;
         prop_assert!(r.conservation_holds(), "conservation violated: {r:?}");
         prop_assert_eq!(r.offered, tagged.len() as u64, "every delivery is offered");

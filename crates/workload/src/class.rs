@@ -25,9 +25,9 @@
 //!   handler and the loosest SLO: relays tolerate latency, not loss.
 //!
 //! Class id 0 is reserved for untagged legacy traffic (see
-//! `smp::steer::FlowArrival::wclass`) and never appears here.
+//! `simnet::steer::FlowArrival::wclass`) and never appears here.
 
-use smp::{WClassProfile, MAX_WCLASS};
+use simnet::{WClassProfile, MAX_WCLASS};
 
 /// A traffic class in the mixed service. Discriminants are the on-wire
 /// class ids (and the `wclass` indices the simulator accounts under).

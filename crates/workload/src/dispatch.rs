@@ -18,7 +18,7 @@ use crate::agent::{self, AgentKind, Relay};
 use crate::class::WireClass;
 use crate::frame;
 use cachesim::Machine;
-use smp::MAX_WCLASS;
+use simnet::MAX_WCLASS;
 
 /// Smallest plausible DNS message: the fixed 12-byte header.
 const DNS_MIN_LEN: usize = 12;
@@ -70,7 +70,7 @@ pub fn classify(buf: &[u8]) -> Option<WireClass> {
 /// Dispatches one batch of received buffers at simulated time `now`.
 ///
 /// Framed and DNS classes are counted and handed on (their handler
-/// cost is charged by `smp::SmpSim`'s per-class accounting); agent
+/// cost is charged by `simnet::SmpSim`'s per-class accounting); agent
 /// relay operations execute against `relay`, whose mailbox walks are
 /// charged to `machine`. Fetched payloads land in `delivered`, a
 /// caller-reused scratch buffer.

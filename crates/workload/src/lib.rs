@@ -10,7 +10,7 @@
 //!   signalling, service RPC, media control, DNS, and CBOR agent
 //!   messaging, each with a handler footprint, a session-table reach,
 //!   and a latency SLO ([`class::profiles`] plugs straight into
-//!   `smp::SmpConfig::wclass`).
+//!   `simnet::SmpConfig::wclass`).
 //! * [`frame`] — the versioned binary envelope the framed classes
 //!   share (v1/v2 coexisting mid-rollout; v2 adds a session id and a
 //!   checksum trailer).
@@ -23,7 +23,7 @@
 //!   sizes, all on a fixed per-message RNG draw budget.
 //! * [`dispatch`] — the classify-and-route loop (`workload-dispatch`
 //!   hot-path root: panic-free, alloc-disciplined, charge-covered).
-//! * [`slo`] — per-class SLO verdicts over `smp`'s class reports.
+//! * [`slo`] — per-class SLO verdicts over `simnet`'s class reports.
 //!
 //! The `figure14` bench (crates/bench) sweeps this workload across
 //! cores and disciplines — Conventional vs. LDLP vs. LDLP+affinity —

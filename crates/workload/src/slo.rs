@@ -2,7 +2,7 @@
 //!
 //! The mixed-service question is not "how fast is the box" but "which
 //! classes kept their promises". This module turns the per-class
-//! reports `smp::SmpSim` accumulates ([`ClassReport`]) into one
+//! reports `simnet::SmpSim` accumulates ([`ClassReport`]) into one
 //! verdict per service class: attainment against the class's latency
 //! SLO, judged at the service target ([`ATTAINMENT_TARGET`]).
 
@@ -58,7 +58,7 @@ pub fn all_met(verdicts: &[SloVerdict]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smp::MAX_WCLASS;
+    use simnet::MAX_WCLASS;
 
     fn report(offered: u64, attainment: f64, slo_us: f64) -> ClassReport {
         ClassReport {

@@ -5,7 +5,7 @@
 //! box sees them — Poisson aggregate arrivals, a seeded class draw per
 //! message, and heavy-tailed (bounded-Pareto) sizes per class. The
 //! paper's Figures 5–9 drive one stack at a time; `figure14` drives
-//! this mix through `smp::SmpSim` so the per-class accounting can show
+//! this mix through `simnet::SmpSim` so the per-class accounting can show
 //! what interleaving does to each class's I-cache bill and SLO.
 //!
 //! Determinism contract: every generated stream is a pure function of
@@ -19,7 +19,7 @@
 use crate::class::WireClass;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use smp::{FlowArrival, FlowKey, MAX_WCLASS};
+use simnet::{FlowArrival, FlowKey, MAX_WCLASS};
 
 /// Configuration of a mixed multi-protocol stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,7 +164,7 @@ pub fn generate(cfg: &MixConfig) -> Vec<ClassedArrival> {
 /// Tags each classed arrival with a flow drawn from a per-class slice
 /// of a `flows`-flow population (classes do not share flows: an RPC
 /// connection is never also a DNS client), producing the
-/// [`FlowArrival`]s `smp::SmpSim` runs on. One draw per message.
+/// [`FlowArrival`]s `simnet::SmpSim` runs on. One draw per message.
 // draws: 1
 pub fn to_flow_arrivals(stream: &[ClassedArrival], flows: u32, seed: u64) -> Vec<FlowArrival> {
     let per_class = (flows / WireClass::ALL.len() as u32).max(1);

@@ -24,7 +24,7 @@ use workload::{
 };
 
 use ldlp::{BatchPolicy, Discipline};
-use smp::{run_smp, DispatchPolicy, SmpConfig};
+use simnet::{run_smp, DispatchPolicy, ImpairCounters, SmpConfig};
 
 const FRAMED: [WireClass; 3] = [
     WireClass::ClientSignal,
@@ -232,7 +232,7 @@ proptest! {
             wclass: profiles(),
             ..SmpConfig::new(cores, policies[policy_idx], discipline)
         };
-        let out = run_smp(&cfg, &arrivals);
+        let out = run_smp(&cfg, &arrivals, ImpairCounters::default());
         prop_assert!(out.report.conservation_holds());
         prop_assert_eq!(out.report.offered, arrivals.len() as u64);
         let mut tagged_total = 0u64;
