@@ -230,6 +230,13 @@ impl StackEngine {
         &mut self.machine
     }
 
+    /// Whether [`Self::batch_limit`] depends on the message size. Only
+    /// LDLP's [`BatchPolicy::DCacheFit`] does, so callers may skip
+    /// sizing the candidate set for every other discipline.
+    pub fn batch_limit_sized(&self) -> bool {
+        matches!(self.discipline, Discipline::Ldlp(BatchPolicy::DCacheFit))
+    }
+
     /// The most messages one batch may contain for `msg_bytes` messages,
     /// per the discipline's policy. Conventional and ILP have no batching
     /// semantics, so any number may be passed to [`Self::process_batch`].
@@ -653,6 +660,21 @@ mod tests {
         assert_eq!(e.batch_limit(552), usize::MAX);
         let e = engine(Discipline::Ldlp(BatchPolicy::Fixed(4)), 1);
         assert_eq!(e.batch_limit(552), 4);
+    }
+
+    #[test]
+    fn only_sized_limits_depend_on_message_size() {
+        for d in [
+            Discipline::Conventional,
+            Discipline::Ilp,
+            Discipline::Ldlp(BatchPolicy::AllAvailable),
+            Discipline::Ldlp(BatchPolicy::Fixed(4)),
+            Discipline::Ldlp(BatchPolicy::DCacheFit),
+        ] {
+            let e = engine(d, 1);
+            let blind = [1, 80, 552, 100_000].iter().all(|&b| e.batch_limit(b) == e.batch_limit(1));
+            assert_eq!(e.batch_limit_sized(), !blind, "{d:?}");
+        }
     }
 
 

@@ -38,12 +38,19 @@
 //! *duplicated* send is delivered twice — the first copy to complete
 //! cleanly acknowledges the client and the second completes stale.
 //! Reordering has no meaning at this per-request level and is ignored.
+//!
+//! Scheduling invariant: every client holds **exactly one live event**
+//! — its next think wake-up while idle, its retransmit deadline while
+//! waiting, none once retired — in a per-client slot. An
+//! acknowledgement or a fired event overwrites the slot, so a cancelled
+//! timer is never stored, let alone popped. Events fire in `(time,
+//! client)` order: the slots are the leaves of a winner tree keyed by
+//! an order-preserving integer image of `time_s` (the `total_cmp`
+//! order, exact for every `f64`) with the client id breaking ties.
 
 use crate::impair::{ImpairConfig, ImpairState};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
 
 /// Retransmission policy of the reliable transport.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -289,65 +296,111 @@ impl ClosedStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventKind {
-    /// The client starts its next request at this time.
-    Think,
-    /// The retransmit timer for `(client, req)` fires at this time.
-    Timer,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    time_s: f64,
-    client: u32,
-    req: u64,
-    kind: EventKind,
-}
-
-impl Event {
-    fn rank(&self) -> u8 {
-        match self.kind {
-            EventKind::Think => 0,
-            EventKind::Timer => 1,
-        }
-    }
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Total order with deterministic tie-breaks so heap pops are
-        // reproducible across runs and thread counts.
-        self.time_s
-            .total_cmp(&other.time_s)
-            .then(self.client.cmp(&other.client))
-            .then(self.req.cmp(&other.req))
-            .then(self.rank().cmp(&other.rank()))
-    }
-}
-
+/// What a client is doing, which is also what its one live event is.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Phase {
-    /// Between requests (thinking) — a `Think` event is pending.
+    /// Between requests: the event is the think wake-up that starts the
+    /// next request.
     Idle,
-    /// A request is outstanding; the retransmit timer is armed.
+    /// A request is outstanding: the event is the retransmit timer's
+    /// deadline.
     Waiting,
-    /// Past the window with nothing outstanding: the client retires.
+    /// Past the window with nothing outstanding: the client retired and
+    /// holds no event.
     Done,
+}
+
+/// Order-preserving integer image of an `f64`: `time_key(a) <
+/// time_key(b)` exactly when `a.total_cmp(&b)` is `Less`. Negative
+/// values flip every bit, the rest flip only the sign bit.
+fn time_key(t: f64) -> u64 {
+    let bits = t.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | 1 << 63)
+}
+
+/// Inverse of [`time_key`], bit for bit.
+fn key_time(key: u64) -> f64 {
+    f64::from_bits(key ^ ((((!key as i64) >> 63) as u64) | 1 << 63))
+}
+
+/// A tree slot: `(time_key(time_s), client)`. Lexicographic order is
+/// firing order.
+type Slot = (u64, u32);
+
+/// An empty slot loses to every live one: live slots carry a client id
+/// below `u32::MAX`, so even the largest time key sorts first.
+const EMPTY: Slot = (u64::MAX, u32::MAX);
+
+/// The smaller of two slots. Which side wins is data-dependent, so the
+/// comparison avoids short-circuit branches and the pick is made with
+/// conditional moves rather than a branch the predictor would miss
+/// half the time.
+fn min_slot(a: Slot, b: Slot) -> Slot {
+    let a_first = (a.0 < b.0) | ((a.0 == b.0) & (a.1 < b.1));
+    (
+        std::hint::select_unpredictable(a_first, a.0, b.0),
+        std::hint::select_unpredictable(a_first, a.1, b.1),
+    )
+}
+
+/// A winner (tournament) tree over one event slot per client. Leaf `i`
+/// is client `i`'s slot; every internal node holds the smaller of its
+/// two children, so the root is the next event. Setting a slot replays
+/// one leaf-to-root path.
+#[derive(Debug)]
+struct WinnerTree {
+    /// Leaf count, a power of two; leaf `i` is node `leaves + i`.
+    leaves: usize,
+    /// Node 1 is the root; node 0 is unused.
+    nodes: Vec<Slot>,
+}
+
+impl WinnerTree {
+    /// Builds the tree bottom-up; client `i`'s first event is at
+    /// `times_s[i]`.
+    fn new(times_s: &[f64]) -> Self {
+        let leaves = times_s.len().next_power_of_two();
+        let mut nodes = vec![EMPTY; 2 * leaves];
+        for (client, (node, &t)) in nodes.iter_mut().skip(leaves).zip(times_s).enumerate() {
+            *node = (time_key(t), client as u32);
+        }
+        for i in (1..leaves).rev() {
+            let left = nodes.get(2 * i).copied().unwrap_or(EMPTY);
+            let right = nodes.get(2 * i + 1).copied().unwrap_or(EMPTY);
+            if let Some(node) = nodes.get_mut(i) {
+                *node = min_slot(left, right);
+            }
+        }
+        WinnerTree { leaves, nodes }
+    }
+
+    /// The next event as `(time_s, client)`, if any client holds one.
+    fn min(&self) -> Option<(f64, u32)> {
+        let (key, client) = self.nodes.get(1).copied().filter(|&s| s != EMPTY)?;
+        Some((key_time(key), client))
+    }
+
+    /// Overwrites `client`'s slot with an event at `time_s` (`None`
+    /// empties it) and replays the path to the root.
+    fn set(&mut self, client: u32, time_s: Option<f64>) {
+        let mut cur = time_s.map_or(EMPTY, |t| (time_key(t), client));
+        let mut i = self.leaves + client as usize;
+        let Some(leaf) = self.nodes.get_mut(i) else {
+            return;
+        };
+        *leaf = cur;
+        while i > 1 {
+            let Some(&sibling) = self.nodes.get(i ^ 1) else {
+                return;
+            };
+            cur = min_slot(sibling, cur);
+            i >>= 1;
+            let Some(node) = self.nodes.get_mut(i) else {
+                return;
+            };
+            *node = cur;
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -376,7 +429,8 @@ pub struct ClosedPopulation {
     duration_s: f64,
     policy: RetryPolicy,
     clients: Vec<ClientState>,
-    heap: BinaryHeap<Reverse<Event>>,
+    /// Each client's one live event (see the module doc).
+    events: WinnerTree,
     rng: StdRng,
     chan: ImpairState,
     stats: ClosedStats,
@@ -401,12 +455,13 @@ impl ClosedPopulation {
             duration_s: cfg.duration_s,
             policy,
             clients: Vec::with_capacity(cfg.clients as usize),
-            heap: BinaryHeap::with_capacity(cfg.clients as usize),
+            events: WinnerTree::new(&[]),
             rng: StdRng::seed_from_u64(cfg.seed),
             chan: ImpairState::new(cfg.channel),
             stats: ClosedStats::default(),
             latencies_us: Vec::new(),
         };
+        let mut first = Vec::with_capacity(cfg.clients as usize);
         for client in 0..cfg.clients {
             pop.clients.push(ClientState {
                 phase: Phase::Idle,
@@ -415,14 +470,9 @@ impl ClosedPopulation {
                 timer: RetransmitTimer::arm(policy, 0.0),
                 class: Class::of_client(client),
             });
-            let first = pop.think_draw();
-            pop.heap.push(Reverse(Event {
-                time_s: first,
-                client,
-                req: 1,
-                kind: EventKind::Think,
-            }));
+            first.push(pop.think_draw());
         }
+        pop.events = WinnerTree::new(&first);
         pop
     }
 
@@ -432,14 +482,18 @@ impl ClosedPopulation {
         -self.think_s * u.ln()
     }
 
-    /// The time of the next pending client event, if any.
+    /// The time of the earliest live client event, if any: a think
+    /// wake-up or an armed retransmit deadline. A timer cancelled by
+    /// [`ClosedPopulation::ack`] is gone, so right after an ack this is
+    /// never the cancelled deadline.
     pub fn next_event_time(&self) -> Option<f64> {
-        self.heap.peek().map(|Reverse(e)| e.time_s)
+        self.events.min().map(|(t, _)| t)
     }
 
-    /// Whether every client has retired and no events are pending.
+    /// Whether every client has retired, i.e. no live event remains
+    /// (cancelled timers do not count: none is ever kept).
     pub fn drained(&self) -> bool {
-        self.heap.is_empty()
+        self.events.min().is_none()
     }
 
     /// Requests currently outstanding (sent, neither acknowledged nor
@@ -469,94 +523,57 @@ impl ClosedPopulation {
     /// appending the transmissions the channel delivers to `out` in
     /// non-decreasing time order.
     pub fn poll_sends(&mut self, until_s: f64, out: &mut Vec<ClientSend>) {
-        loop {
-            match self.heap.peek() {
-                Some(Reverse(e)) if e.time_s <= until_s => {}
-                _ => break,
-            }
-            let Some(Reverse(ev)) = self.heap.pop() else {
-                break;
-            };
-            self.handle(ev, out);
+        while let Some((time_s, client)) = self.events.min().filter(|&(t, _)| t <= until_s) {
+            self.handle(client, time_s, out);
         }
     }
 
-    fn handle(&mut self, ev: Event, out: &mut Vec<ClientSend>) {
-        match ev.kind {
-            EventKind::Think => {
-                let (class, req, deadline) = {
-                    let Some(c) = self.clients.get_mut(ev.client as usize) else {
-                        return;
-                    };
-                    if c.phase != Phase::Idle {
-                        return;
-                    }
-                    if ev.time_s > self.duration_s {
-                        // The window closed while this client thought;
-                        // it retires instead of starting a request.
-                        c.phase = Phase::Done;
-                        return;
-                    }
-                    c.req += 1;
-                    c.start_s = ev.time_s;
-                    c.phase = Phase::Waiting;
-                    c.timer = RetransmitTimer::arm(self.policy, ev.time_s);
-                    (c.class, c.req, c.timer.deadline_s())
-                };
+    /// Fires `client`'s live event, due at `time_s`, and stores the
+    /// client's next one in its slot.
+    fn handle(&mut self, client: u32, time_s: f64, out: &mut Vec<ClientSend>) {
+        let Some(c) = self.clients.get_mut(client as usize) else {
+            return;
+        };
+        match c.phase {
+            Phase::Idle => {
+                if time_s > self.duration_s {
+                    // The window closed while this client thought; it
+                    // retires instead of starting a request.
+                    c.phase = Phase::Done;
+                    self.events.set(client, None);
+                    return;
+                }
+                c.req += 1;
+                c.start_s = time_s;
+                c.phase = Phase::Waiting;
+                c.timer = RetransmitTimer::arm(self.policy, time_s);
+                let (class, req, deadline) = (c.class, c.req, c.timer.deadline_s());
                 self.stats.requests += 1;
                 if let Some(n) = self.stats.per_class_requests.get_mut(class.index()) {
                     *n += 1;
                 }
-                self.transmit(ev.time_s, ev.client, req, class, out);
-                self.heap.push(Reverse(Event {
-                    time_s: deadline,
-                    client: ev.client,
-                    req,
-                    kind: EventKind::Timer,
-                }));
+                self.transmit(time_s, client, req, class, out);
+                self.events.set(client, Some(deadline));
             }
-            EventKind::Timer => {
-                let fired = {
-                    let Some(c) = self.clients.get_mut(ev.client as usize) else {
-                        return;
-                    };
-                    if c.phase != Phase::Waiting || c.req != ev.req {
-                        // Acknowledged or superseded since armed.
-                        return;
-                    }
-                    match c.timer.expire() {
-                        Some(retx_s) => Some((retx_s, c.class, c.timer.deadline_s())),
-                        None => {
-                            c.phase = Phase::Idle;
-                            None
-                        }
-                    }
-                };
-                match fired {
-                    Some((retx_s, class, deadline)) => {
-                        self.transmit(retx_s, ev.client, ev.req, class, out);
-                        self.heap.push(Reverse(Event {
-                            time_s: deadline,
-                            client: ev.client,
-                            req: ev.req,
-                            kind: EventKind::Timer,
-                        }));
-                    }
-                    None => {
-                        // Budget spent: the request is abandoned and the
-                        // client thinks up its next one. Any copies still
-                        // in the simulator will complete stale.
-                        self.stats.abandoned_requests += 1;
-                        let next = ev.time_s + self.think_draw();
-                        self.heap.push(Reverse(Event {
-                            time_s: next,
-                            client: ev.client,
-                            req: ev.req + 1,
-                            kind: EventKind::Think,
-                        }));
-                    }
+            Phase::Waiting => match c.timer.expire() {
+                Some(retx_s) => {
+                    let (class, req, deadline) = (c.class, c.req, c.timer.deadline_s());
+                    self.transmit(retx_s, client, req, class, out);
+                    self.events.set(client, Some(deadline));
                 }
-            }
+                None => {
+                    // Budget spent: the request is abandoned and the
+                    // client thinks up its next one. Any copies still in
+                    // the simulator will complete stale.
+                    c.phase = Phase::Idle;
+                    self.stats.abandoned_requests += 1;
+                    let next = time_s + self.think_draw();
+                    self.events.set(client, Some(next));
+                }
+            },
+            // A retired client holds no event; emptying the slot keeps
+            // `poll_sends` from spinning should one ever fire.
+            Phase::Done => self.events.set(client, None),
         }
     }
 
@@ -612,13 +629,9 @@ impl ClosedPopulation {
             *n += 1;
         }
         self.latencies_us.push(latency_us);
+        // The think wake-up overwrites the armed timer: cancelled.
         let next = t_s + self.think_draw();
-        self.heap.push(Reverse(Event {
-            time_s: next,
-            client,
-            req: req + 1,
-            kind: EventKind::Think,
-        }));
+        self.events.set(client, Some(next));
         AckKind::Useful { latency_us }
     }
 }
@@ -768,6 +781,36 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn ack_cancels_the_timer_outright() {
+        // A long think time puts the next request well past the armed
+        // retransmit deadline: a lazily-deleted heap would still report
+        // the cancelled deadline as the next event.
+        let cfg = ClosedConfig::new(1, 100.0, 1e6, 3);
+        let mut pop = ClosedPopulation::new(&cfg);
+        let mut sends = Vec::new();
+        let Some(t0) = pop.next_event_time() else {
+            unreachable!("a fresh client holds its first wake-up");
+        };
+        pop.poll_sends(t0, &mut sends);
+        let Some(s) = sends.first().copied() else {
+            unreachable!("the first request was sent");
+        };
+        let deadline = s.time_s + cfg.retry.timeout_s(1);
+        assert_eq!(pop.next_event_time(), Some(deadline), "the armed timer is the live event");
+        let ack_s = s.time_s + 1e-3;
+        assert!(matches!(pop.ack(s.client, s.req, ack_s), AckKind::Useful { .. }));
+        let Some(next) = pop.next_event_time() else {
+            unreachable!("the acked client thinks up its next request");
+        };
+        assert!(next > deadline, "next event is the think wake-up, not the cancelled deadline");
+        sends.clear();
+        pop.poll_sends(deadline, &mut sends);
+        assert!(sends.is_empty(), "no retransmission after the ack");
+        assert_eq!(pop.stats().transmissions, 1);
+        assert!(!pop.drained(), "an idle client still holds its wake-up");
     }
 
     #[test]

@@ -575,10 +575,11 @@ struct CoreState {
 }
 
 impl CoreState {
-    /// Evicts the entry-queue head (an admission policy's victim),
-    /// counting it as shed; returns it for the caller's class books.
-    fn shed_head(&mut self, shed_by_class: &mut [u64; Class::COUNT]) -> Option<EntryPkt> {
-        let victim = self.entry.pop_front()?;
+    /// Evicts the entry-queue packet at `pos` (an admission policy's
+    /// victim; 0 is the head), counting it as shed; the survivors keep
+    /// their order. Returns it for the caller's class books.
+    fn shed_at(&mut self, pos: usize, shed_by_class: &mut [u64; Class::COUNT]) -> Option<EntryPkt> {
+        let victim = self.entry.remove(pos)?;
         let vi = victim.class.index();
         self.class_counts[vi] = self.class_counts[vi].saturating_sub(1);
         shed_by_class[vi] += 1;
@@ -761,7 +762,7 @@ impl EventLoop {
             // inbox) falls back to the full rescan.
             while next_arrival < arrivals.len() {
                 let a: FlowArrival = arrivals[next_arrival].into();
-                let t = self.to_cycles(a.time_s);
+                let t = to_cycles(a.time_s, self.cycles_per_s);
                 if best.is_some_and(|(s, _)| t > s) {
                     break;
                 }
@@ -958,7 +959,7 @@ impl EventLoop {
         }
         let (evict, admit) = self.cfg.admission.admit(core.entry.len(), self.entry_cap);
         for _ in 0..evict {
-            if let Some(victim) = core.shed_head(&mut self.shed_by_class) {
+            if let Some(victim) = core.shed_at(0, &mut self.shed_by_class) {
                 let vw = usize::from(victim.wclass) & (MAX_WCLASS - 1);
                 if let Some(ws) = self.wsamples.get_mut(vw) {
                     ws.shed += 1;
@@ -1027,14 +1028,17 @@ impl EventLoop {
         // Candidate set: how many messages are takeable right now, and
         // how big the largest is (batch limits are sized conservatively
         // by the largest candidate). The ring scan reads only the
-        // ready-time and buffer-length columns.
+        // ready-time and buffer-length columns; the entry queue is only
+        // scanned when the engine's limit depends on message size.
         let (avail, max_bytes) = if core.entry.is_empty() {
             core.inbox.takeable(start)
-        } else {
+        } else if engine.batch_limit_sized() {
             (
                 core.entry.len(),
                 core.entry.iter().map(|p| u64::from(p.bytes)).max().unwrap_or(0),
             )
+        } else {
+            (core.entry.len(), 0)
         };
         debug_assert!(avail > 0, "scheduled a core with no takeable work");
         let limit = engine
@@ -1394,7 +1398,19 @@ impl EventLoop {
         self.closed = true;
 
         let mut sends: Vec<ClientSend> = Vec::new();
-        let mut pending: VecDeque<ClientSend> = VecDeque::new();
+        // Transmissions not yet admitted, with their send cycle.
+        let mut pending: VecDeque<(u64, ClientSend)> = VecDeque::new();
+        let cycles_per_s = self.cycles_per_s;
+        let queue = |pending: &mut VecDeque<(u64, ClientSend)>, sends: &mut Vec<ClientSend>| {
+            pending.extend(sends.drain(..).map(|s| (to_cycles(s.time_s, cycles_per_s), s)));
+        };
+        // The next client event in seconds and cycles; only polls and
+        // acks change it.
+        let peek = |pop: &ClosedPopulation| {
+            let t_s = pop.next_event_time();
+            (t_s, t_s.map(|t| to_cycles(t, cycles_per_s)))
+        };
+        let (mut next_ev, mut next_ev_cyc) = peek(pop);
 
         loop {
             // Client-side fixpoint: fire every think/timer event,
@@ -1403,11 +1419,12 @@ impl EventLoop {
             // possible next batch start. Events win finish-time ties
             // against acknowledgements (a timer due exactly when the
             // ack lands still fires), matching `signaling::recovery`.
+            // Only admissions change core state, so the frontier is
+            // rescanned after each one and not otherwise.
+            let mut best = self.scan_best();
             loop {
-                let frontier = self.scan_best().map_or(u64::MAX, |(s, _)| s);
-                let next_ev = pop.next_event_time();
-                let next_ev_cyc = next_ev.map(|t| self.to_cycles(t));
-                let next_send = pending.front().map(|s| self.to_cycles(s.time_s));
+                let frontier = best.map_or(u64::MAX, |(s, _)| s);
+                let next_send = pending.front().map(|&(t, _)| t);
                 let next_ack = self.ready_acks.peek().map(|Reverse(a)| a.0);
 
                 let ev_le = |a: Option<u64>, b: Option<u64>| match (a, b) {
@@ -1422,17 +1439,18 @@ impl EventLoop {
                     if t > frontier {
                         break;
                     }
-                    sends.clear();
                     pop.poll_sends(t_s, &mut sends);
-                    pending.extend(sends.drain(..));
+                    queue(&mut pending, &mut sends);
+                    (next_ev, next_ev_cyc) = peek(pop);
                 } else if ev_le(next_send, next_ack) {
                     let Some(t) = next_send else { break };
                     if t > frontier {
                         break;
                     }
-                    let Some(s) = pending.pop_front() else { break };
+                    let Some((_, s)) = pending.pop_front() else { break };
                     self.offered += 1;
                     self.admit_closed(&s, t, weights);
+                    best = self.scan_best();
                 } else {
                     let Some(t) = next_ack else { break };
                     if t > frontier {
@@ -1444,9 +1462,8 @@ impl EventLoop {
                     let finish_s = finish as f64 / self.cycles_per_s;
                     // Any boundary straggler events (cycle rounding)
                     // fire before the acknowledgement lands.
-                    sends.clear();
                     pop.poll_sends(finish_s, &mut sends);
-                    pending.extend(sends.drain(..));
+                    queue(&mut pending, &mut sends);
                     let (client, req) =
                         self.closed_meta.get(id as usize).copied().unwrap_or((u32::MAX, 0));
                     match pop.ack(client, req, finish_s) {
@@ -1463,10 +1480,11 @@ impl EventLoop {
                         }
                         AckKind::Stale => self.abandoned += 1,
                     }
+                    (next_ev, next_ev_cyc) = peek(pop);
                 }
             }
 
-            let Some((start, c)) = self.scan_best() else {
+            let Some((start, c)) = best else {
                 // The fixpoint ran with an unbounded frontier and found
                 // nothing: no events, no sends, no acks, no startable
                 // core — the run has drained.
@@ -1477,10 +1495,6 @@ impl EventLoop {
         }
 
         self.assert_conservation();
-    }
-
-    fn to_cycles(&self, t_s: f64) -> u64 {
-        (t_s * self.cycles_per_s).round() as u64
     }
 
     /// Steers and admits one closed-loop transmission, maintaining
@@ -1502,18 +1516,15 @@ impl EventLoop {
             let (evict, admit) = self.cfg.admission.admit(core.entry.len(), self.entry_cap);
             debug_assert!(evict <= core.entry.len());
             for _ in 0..evict {
-                core.shed_head(&mut self.shed_by_class);
+                core.shed_at(0, &mut self.shed_by_class);
             }
             (None, admit)
         };
         if let Some(d) = evict_class {
             // Weighted-fair donor: shed the *oldest* queued packet of
-            // the most over-share class. Rotate it to the front, pop
-            // it, rotate back — FIFO order of the survivors holds.
+            // the most over-share class.
             if let Some(pos) = core.entry.iter().position(|p| p.class.index() == d) {
-                core.entry.rotate_left(pos);
-                core.shed_head(&mut self.shed_by_class);
-                core.entry.rotate_right(pos.min(core.entry.len()));
+                core.shed_at(pos, &mut self.shed_by_class);
             }
         }
         if admit {
@@ -1533,6 +1544,11 @@ impl EventLoop {
             self.drops_by_class[ci] += 1;
         }
     }
+}
+
+/// Simulated seconds to the nearest cycle at `cycles_per_s`.
+fn to_cycles(t_s: f64, cycles_per_s: f64) -> u64 {
+    (t_s * cycles_per_s).round() as u64
 }
 
 /// The multi-core simulator: the per-core engines (the paper stack,
