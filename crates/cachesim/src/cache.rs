@@ -225,20 +225,22 @@ impl Cache {
         }
         let first = addr >> self.line_shift;
         let last = (addr + size - 1) >> self.line_shift;
-        // Direct-mapped sweep: one flat compare-and-store per line, with
-        // the per-line counter updates folded into two bulk adds.
-        if self.ways == 1 && self.pow2_sets {
-            let mask = self.set_mask;
-            let mut misses = 0u64;
-            for line in first..=last {
-                // analyze::allow(panic-free-library, reason = "mask keeps the index < num_sets == tags.len()")
-                let slot = &mut self.tags[(line & mask) as usize];
-                if *slot != line {
-                    *slot = line;
-                    misses += 1;
-                }
-            }
-            let total = last - first + 1;
+        let total = last - first + 1;
+        // Direct-mapped sweep: the per-line counter updates fold into two
+        // bulk adds. A range no longer than the cache touches each slot at
+        // most once, in slot order from `first & mask`, wrapping once at
+        // the end of the tag array: two contiguous runs, swept branch-free.
+        // A longer range touches some slots twice; it takes the per-line
+        // loop below.
+        if self.ways == 1 && self.pow2_sets && total <= self.tags.len() as u64 {
+            // `first & mask` < len; the wrapped run is at most
+            // `total - tail.len()` <= `first & mask` == `head.len()`.
+            let (head, tail) = self.tags.split_at_mut((first & self.set_mask) as usize);
+            let n = total as usize;
+            let (run, _) = tail.split_at_mut(n.min(tail.len()));
+            let (wrapped, _) = head.split_at_mut(n - run.len());
+            let run_lines = run.len() as u64;
+            let misses = sweep_run(run, first) + sweep_run(wrapped, first + run_lines);
             self.record_bulk(total - misses, misses, kind);
             return misses;
         }
@@ -294,6 +296,20 @@ impl Cache {
             AccessKind::Write => self.stats.write_misses += 1,
         }
     }
+}
+
+/// Sweeps one contiguous run of a direct-mapped tag array with the
+/// consecutive lines `first, first + 1, ...`, one per slot, without a
+/// branch per line. Returns the misses.
+#[inline]
+fn sweep_run(slots: &mut [u64], first: u64) -> u64 {
+    let mut misses = 0;
+    for (i, slot) in slots.iter_mut().enumerate() {
+        let line = first + i as u64;
+        misses += u64::from(*slot != line);
+        *slot = line;
+    }
+    misses
 }
 
 #[cfg(test)]
@@ -415,10 +431,22 @@ mod tests {
     #[test]
     fn access_range_matches_per_line_walk() {
         // The bulk direct-mapped sweep must agree with access_line calls
-        // on both the return value and every counter.
+        // on the return value, every counter and the tag array.
         let mut bulk = dm_8k();
         let mut walk = dm_8k();
-        for (base, size) in [(10u64, 100u64), (0, 8192), (4096, 8192), (100, 1)] {
+        // The last four wrap the tag array: a short run across the end,
+        // a cache-sized run from set 200, an unaligned cache-sized run
+        // (257 lines, the per-line path) and one longer than the cache.
+        for (base, size) in [
+            (10u64, 100u64),
+            (0, 8192),
+            (4096, 8192),
+            (100, 1),
+            (8000, 400),
+            (200 * 32, 8192),
+            (3 * 8192 + 4001, 8192),
+            (7 * 8192 + 17, 3 * 8192),
+        ] {
             let m = bulk.access_range(base, size, AccessKind::Write);
             let first = base >> 5;
             let last = (base + size - 1) >> 5;
@@ -430,6 +458,7 @@ mod tests {
             }
             assert_eq!(m, w);
             assert_eq!(bulk.stats(), walk.stats());
+            assert_eq!(bulk.export_tags(), walk.export_tags());
         }
     }
 

@@ -160,7 +160,7 @@ impl MachineConfig {
 }
 
 /// Aggregated statistics for a [`Machine`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MachineStats {
     /// I-cache (or unified cache) counters.
     pub icache: CacheStats,
@@ -214,9 +214,12 @@ pub struct Machine {
     l2: Option<Cache>,
     instr_cycles: CycleCount,
     stall_cycles: CycleCount,
-    /// Code-footprint replay memo (I-cache ++ ITLB states), created
-    /// lazily on the first [`Machine::fetch_code_footprint`] call.
-    replay: Option<ReplayCache>,
+    /// Code-footprint replay memo (I-cache ++ ITLB states); empty (and
+    /// unallocated) until the first [`Machine::fetch_code_footprint`]
+    /// call. It is a field of its own, never moved out: the memoized
+    /// sweep borrows it alongside the disjoint cache, TLB and counter
+    /// fields.
+    replay: ReplayCache,
     /// Scratch buffer for assembling combined state keys.
     key_buf: Vec<u64>,
     /// Master switch for the memoizer (tests and benches compare
@@ -237,7 +240,7 @@ impl Machine {
             l2: cfg.l2.map(Cache::new),
             instr_cycles: 0,
             stall_cycles: 0,
-            replay: None,
+            replay: ReplayCache::default(),
             key_buf: Vec::new(),
             replay_enabled: true,
             bypass_reason: None,
@@ -288,25 +291,17 @@ impl Machine {
         }
     }
 
-    /// Materializes `replay`'s live state token (if any) back into the
+    /// Materializes the memo's live state token (if any) back into the
     /// I-cache tag array and ITLB so non-memoized accesses see current
     /// contents. No-op when the arrays are already authoritative.
-    fn materialize_istate(&mut self, replay: &mut ReplayCache) {
-        let Some(t) = replay.cur.take() else { return };
-        let key = replay.state(t);
+    fn sync_replay(&mut self) {
+        let Some(t) = self.replay.cur.take() else { return };
+        let key = self.replay.state(t);
         let cache_words = self.cfg.icache.num_lines() as usize;
         let (tags, tlb_words) = key.split_at(cache_words.min(key.len()));
         self.icache.import_tags(tags);
         if let Some(tlb) = &mut self.itlb {
             tlb.import_entries(tlb_words);
-        }
-    }
-
-    /// [`Machine::materialize_istate`] on the owned code memo.
-    fn sync_replay(&mut self) {
-        if let Some(mut r) = self.replay.take() {
-            self.materialize_istate(&mut r);
-            self.replay = Some(r);
         }
     }
 
@@ -334,52 +329,40 @@ impl Machine {
             if let Some(why) = self.replay_ineligibility() {
                 self.note_bypass_reason(why);
             }
-            self.replay.get_or_insert_default().stats_mut().bypasses += 1;
+            self.replay.stats_mut().bypasses += 1;
             self.sync_replay();
             return self.fetch_lines_walk(lines);
         }
-        // Move the memo out of its Option for the duration of the sweep so
-        // the borrow checker lets it ride alongside cache/TLB mutation.
-        let mut replay = self.replay.take().unwrap_or_default();
-        let ret = self.fetch_footprint_memo(&mut replay, fid, lines);
-        self.replay = Some(replay);
-        ret
-    }
-
-    /// The memoized body of [`Machine::fetch_code_footprint`]: replay the
-    /// recorded `(state, footprint)` transition when known, otherwise walk
-    /// once while diffing every counter and record the outcome.
-    fn fetch_footprint_memo(&mut self, replay: &mut ReplayCache, fid: u32, lines: &[u64]) -> u64 {
-        if !replay.check_footprint(fid, lines) {
-            replay.stats_mut().bypasses += 1;
+        if !self.replay.check_footprint(fid, lines) {
+            self.replay.stats_mut().bypasses += 1;
             self.note_bypass_reason("footprint-collision");
-            self.materialize_istate(replay);
+            self.sync_replay();
             return self.fetch_lines_walk(lines);
         }
-        let cur = match replay.cur {
+        let cur = match self.replay.cur {
             Some(t) => t,
             None => {
-                if replay.saturated() {
+                if self.replay.saturated() {
                     // Table full and the live state is already in the
                     // arrays: don't even try to re-intern per sweep.
-                    replay.stats_mut().bypasses += 1;
+                    self.replay.stats_mut().bypasses += 1;
                     self.note_bypass_reason("state-table-full");
                     return self.fetch_lines_walk(lines);
                 }
                 self.build_ikey();
-                match replay.intern(&self.key_buf) {
+                match self.replay.intern(&self.key_buf) {
                     Some(t) => t,
                     None => {
-                        replay.stats_mut().bypasses += 1;
+                        self.replay.stats_mut().bypasses += 1;
                         self.note_bypass_reason("state-table-full");
                         return self.fetch_lines_walk(lines);
                     }
                 }
             }
         };
-        if let Some(tr) = replay.lookup(cur, fid) {
-            replay.stats_mut().hits += 1;
-            replay.cur = Some(tr.next);
+        if let Some(tr) = self.replay.lookup(cur, fid) {
+            self.replay.stats_mut().hits += 1;
+            self.replay.cur = Some(tr.next);
             self.icache.record_bulk(tr.hits, tr.misses, AccessKind::InstrFetch);
             if let Some(tlb) = &mut self.itlb {
                 tlb.record_bulk(tr.tlb_hits, tr.tlb_misses);
@@ -390,8 +373,8 @@ impl Machine {
         // Memo miss: make the arrays reflect `cur` (no-op when it was just
         // interned from them), walk for real while diffing the counters,
         // record the outcome.
-        replay.stats_mut().misses += 1;
-        self.materialize_istate(replay);
+        self.replay.stats_mut().misses += 1;
+        self.sync_replay();
         let c0 = *self.icache.stats();
         let t0 = self.itlb.as_ref().map(|t| *t.stats()).unwrap_or_default();
         let s0 = self.stall_cycles;
@@ -408,10 +391,10 @@ impl Machine {
             next: 0,
         };
         self.build_ikey();
-        if let Some(next) = replay.intern(&self.key_buf) {
+        if let Some(next) = self.replay.intern(&self.key_buf) {
             // analyze::allow(alloc-path, reason = "replay-memo warm-up insert; steady state is a memo hit (hit rate CI-gated, tests/alloc.rs pins zero steady-state allocs)")
-            replay.insert(cur, fid, Transition { next, ..tr });
-            replay.cur = Some(next);
+            self.replay.insert(cur, fid, Transition { next, ..tr });
+            self.replay.cur = Some(next);
         }
         ret
     }
@@ -430,12 +413,12 @@ impl Machine {
 
     /// The replay memo's counters (zero if never used).
     pub fn replay_stats(&self) -> ReplayStats {
-        self.replay.as_ref().map(|r| r.stats()).unwrap_or_default()
+        self.replay.stats()
     }
 
     /// Counter-and-size snapshot of the replay memo.
     pub fn replay_report(&self) -> ReplayReport {
-        self.replay.as_ref().map(|r| r.report()).unwrap_or_default()
+        self.replay.report()
     }
 
     /// The configuration this machine was built with.

@@ -13,7 +13,7 @@
 //!   an enqueue/dequeue cost per message per layer boundary
 //!   (~40 instructions, Section 3.2).
 
-use crate::layer::{paper, SimLayer, SimMessage};
+use crate::layer::{paper, SimMessage, SyntheticLayer};
 use crate::policy::BatchPolicy;
 use cachesim::{CycleCount, Machine, Region};
 use obs::{NameId, Sink, SpanEvent};
@@ -50,7 +50,7 @@ pub struct Completion {
 /// Executes batches of messages through a layer stack on a machine.
 pub struct StackEngine {
     machine: Machine,
-    layers: Vec<Box<dyn SimLayer>>,
+    layers: Vec<SyntheticLayer>,
     discipline: Discipline,
     /// Enqueue+dequeue instruction cost per message per layer boundary
     /// under LDLP.
@@ -60,7 +60,7 @@ pub struct StackEngine {
     /// completed receive generates a reply that descends these layers.
     /// The paper notes LDLP "is also applicable to transmit-side
     /// processing" without evaluating it; this is that extension.
-    tx_layers: Vec<Box<dyn SimLayer>>,
+    tx_layers: Vec<SyntheticLayer>,
     /// Length in bytes of the generated reply (e.g. a 58-byte ACK).
     reply_len: u64,
     /// Index of the layer whose checksum catches corrupted payloads.
@@ -100,7 +100,7 @@ impl StackEngine {
     /// Builds an engine. The machine's caches start cold.
     pub fn new(
         machine: Machine,
-        layers: Vec<Box<dyn SimLayer>>,
+        layers: Vec<SyntheticLayer>,
         discipline: Discipline,
     ) -> Self {
         assert!(!layers.is_empty(), "a stack needs at least one layer");
@@ -185,7 +185,7 @@ impl StackEngine {
     /// `reply_len`-byte reply that descends `tx_layers` (given top-down)
     /// under the same discipline — blocked alongside the receive batch
     /// for LDLP, interleaved per message conventionally.
-    pub fn with_tx(mut self, tx_layers: Vec<Box<dyn SimLayer>>, reply_len: u64) -> Self {
+    pub fn with_tx(mut self, tx_layers: Vec<SyntheticLayer>, reply_len: u64) -> Self {
         assert!(!tx_layers.is_empty(), "duplex needs at least one tx layer");
         self.max_layer_data = self
             .max_layer_data
@@ -449,7 +449,7 @@ impl StackEngine {
             .fetch_code_footprint(fid, self.tx_layers[li].code_lines());
         let data = self.tx_layers[li].data_region();
         self.machine.read_data(data);
-        if self.tx_layers[li].touches_message() && reply.len > 0 {
+        if reply.len > 0 {
             if li == 0 {
                 self.machine.write_data(reply);
             } else {
@@ -472,7 +472,7 @@ impl StackEngine {
         let data = self.layers[li].data_region();
         self.machine.read_data(data);
         // The data loop over the message contents.
-        if touch_message && self.layers[li].touches_message() && !msg.is_empty() {
+        if touch_message && !msg.is_empty() {
             self.machine.read_data(Region::new(msg.buf.base, msg.buf.len));
         }
         // Instruction cycles. Under ILP the loop work of all layers is

@@ -4,8 +4,8 @@
 //! does to the memory system: the code it executes, the per-layer data it
 //! consults, the instruction cycles it burns, and whether it loops over
 //! the message contents. [`SyntheticLayer`] is the paper's Section 4
-//! layer; anything else (e.g. layers derived from the `netstack`
-//! footprints) can implement [`SimLayer`] too.
+//! layer, and every simulated stack (the synthetic benchmark, the
+//! signalling stack) is a list of them with its own footprints and costs.
 
 use cachesim::Region;
 
@@ -39,40 +39,11 @@ impl SimMessage {
     }
 }
 
-/// A protocol layer described by its memory-system behaviour.
-pub trait SimLayer {
-    /// Layer name, for reports.
-    fn name(&self) -> &str;
-
-    /// I-cache lines (line numbers, i.e. `addr / line_size`) executed for
-    /// every message. The engine fetches each once per (layer, message)
-    /// application — the paper's "every instruction in the working set is
-    /// executed at least once".
-    fn code_lines(&self) -> &[u64];
-
-    /// Per-layer working data (PCBs, tables): read on every application.
-    fn data_region(&self) -> Region;
-
-    /// Instruction cycles excluding the data loop.
-    fn base_instr_cycles(&self) -> u64;
-
-    /// Data-loop cost in cycles per message byte (0.5 in the paper).
-    fn loop_cycles_per_byte(&self) -> f64;
-
-    /// Whether this layer's data loop touches the message contents.
-    fn touches_message(&self) -> bool {
-        true
-    }
-
-    /// Total instruction cycles to process a message of `len` bytes.
-    fn instr_cycles(&self, len: u64) -> u64 {
-        self.base_instr_cycles() + (self.loop_cycles_per_byte() * len as f64).round() as u64
-    }
-}
-
-/// The synthetic layer of Section 4: `code_bytes` of straight-line code,
-/// `data_bytes` of layer data, a 40-instruction data loop at 0.5
-/// cycles/byte, and 1652 total cycles for a 552-byte message.
+/// A protocol layer described by its memory-system behaviour. The
+/// default is the synthetic layer of Section 4: `code_bytes` of
+/// straight-line code, `data_bytes` of layer data, a 40-instruction data
+/// loop over the message at 0.5 cycles/byte, and 1652 total cycles for a
+/// 552-byte message.
 #[derive(Debug, Clone)]
 pub struct SyntheticLayer {
     name: String,
@@ -127,27 +98,38 @@ impl SyntheticLayer {
     pub fn code_region(&self) -> Region {
         self.code
     }
-}
 
-impl SimLayer for SyntheticLayer {
-    fn name(&self) -> &str {
+    /// Layer name, for reports.
+    pub fn name(&self) -> &str {
         &self.name
     }
 
-    fn code_lines(&self) -> &[u64] {
+    /// I-cache lines (line numbers, i.e. `addr / line_size`) executed for
+    /// every message. The engine fetches each once per (layer, message)
+    /// application — the paper's "every instruction in the working set is
+    /// executed at least once".
+    pub fn code_lines(&self) -> &[u64] {
         &self.code_lines
     }
 
-    fn data_region(&self) -> Region {
+    /// Per-layer working data (PCBs, tables): read on every application.
+    pub fn data_region(&self) -> Region {
         self.data
     }
 
-    fn base_instr_cycles(&self) -> u64 {
+    /// Instruction cycles excluding the data loop.
+    pub fn base_instr_cycles(&self) -> u64 {
         self.base_cycles
     }
 
-    fn loop_cycles_per_byte(&self) -> f64 {
+    /// Data-loop cost in cycles per message byte (0.5 in the paper).
+    pub fn loop_cycles_per_byte(&self) -> f64 {
         self.loop_cpb
+    }
+
+    /// Total instruction cycles to process a message of `len` bytes.
+    pub fn instr_cycles(&self, len: u64) -> u64 {
+        self.base_cycles + (self.loop_cpb * len as f64).round() as u64
     }
 }
 

@@ -16,10 +16,10 @@
 //!
 //! The crate provides:
 //!
-//! * [`layer`] — the [`layer::SimLayer`] abstraction: a protocol layer
-//!   described by its code footprint, per-layer data, and instruction
-//!   cost, plus [`layer::SyntheticLayer`], the paper's synthetic layer
-//!   (6 KB code, 256 B data, 1652 cycles for a 552-byte message).
+//! * [`layer`] — [`layer::SyntheticLayer`]: a protocol layer described
+//!   by its code footprint, per-layer data, and instruction cost; the
+//!   defaults are the paper's synthetic layer (6 KB code, 256 B data,
+//!   1652 cycles for a 552-byte message).
 //! * [`engine`] — [`engine::StackEngine`]: executes batches under one of
 //!   the three disciplines of Figure 2 (Conventional, ILP, LDLP/blocked)
 //!   against a `cachesim::Machine`, attributing cache misses and
@@ -64,5 +64,5 @@ pub mod policy;
 pub mod synth;
 
 pub use engine::{Completion, Discipline, StackEngine};
-pub use layer::{SimLayer, SimMessage, SyntheticLayer};
+pub use layer::{SimMessage, SyntheticLayer};
 pub use policy::{stage_partition, weighted_fair_admit, AdmissionPolicy, BatchPolicy};

@@ -5,7 +5,7 @@
 //! from 100 runs, each with a different random placement in memory"), plus
 //! a pool of message buffers whose addresses determine D-cache behaviour.
 
-use crate::layer::{paper, SimLayer, SimMessage, SyntheticLayer};
+use crate::layer::{paper, SimMessage, SyntheticLayer};
 use cachesim::{Machine, MachineConfig, Region};
 
 /// Address window the code segments are scattered over. Large relative to
@@ -19,7 +19,7 @@ const MBUF_WINDOW_BASE: u64 = 0x1000_0000;
 
 /// Builds the paper's machine + five-layer synthetic stack for one random
 /// placement. The same `seed` always produces the same layout.
-pub fn paper_stack(cfg: MachineConfig, seed: u64) -> (Machine, Vec<Box<dyn SimLayer>>) {
+pub fn paper_stack(cfg: MachineConfig, seed: u64) -> (Machine, Vec<SyntheticLayer>) {
     stack_with(cfg, seed, 5, paper::CODE_BYTES, paper::DATA_BYTES)
 }
 
@@ -32,17 +32,16 @@ pub fn stack_with(
     layers: usize,
     code_bytes: u64,
     data_bytes: u64,
-) -> (Machine, Vec<Box<dyn SimLayer>>) {
+) -> (Machine, Vec<SyntheticLayer>) {
     let line = cfg.icache.line_size;
     let scaled_code = ((code_bytes as f64 * cfg.code_density) as u64).max(line);
     let mut code_place = cachesim::RandomPlacement::new(seed, CODE_WINDOW, line);
     let mut data_place = cachesim::RandomPlacement::new(seed ^ 0xdada, DATA_WINDOW, line);
-    let stack: Vec<Box<dyn SimLayer>> = (0..layers)
+    let stack: Vec<SyntheticLayer> = (0..layers)
         .map(|i| {
             let code = code_place.place(scaled_code);
             let data = data_place.place(data_bytes.max(line));
-            Box::new(SyntheticLayer::new(&format!("L{}", i + 1), code, data, line))
-                as Box<dyn SimLayer>
+            SyntheticLayer::new(&format!("L{}", i + 1), code, data, line)
         })
         .collect();
     (Machine::new(cfg), stack)
@@ -57,17 +56,16 @@ pub fn stack_sequential(
     layers: usize,
     code_bytes: u64,
     data_bytes: u64,
-) -> (Machine, Vec<Box<dyn SimLayer>>) {
+) -> (Machine, Vec<SyntheticLayer>) {
     let line = cfg.icache.line_size;
     let scaled_code = ((code_bytes as f64 * cfg.code_density) as u64).max(line);
     let mut alloc = cachesim::AddressAllocator::new(CODE_WINDOW.base, line);
     let mut data_alloc = cachesim::AddressAllocator::new(DATA_WINDOW.base, line);
-    let stack: Vec<Box<dyn SimLayer>> = (0..layers)
+    let stack: Vec<SyntheticLayer> = (0..layers)
         .map(|i| {
             let code = alloc.alloc(scaled_code);
             let data = data_alloc.alloc(data_bytes.max(line));
-            Box::new(SyntheticLayer::new(&format!("L{}", i + 1), code, data, line))
-                as Box<dyn SimLayer>
+            SyntheticLayer::new(&format!("L{}", i + 1), code, data, line)
         })
         .collect();
     (Machine::new(cfg), stack)

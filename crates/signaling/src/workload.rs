@@ -17,7 +17,6 @@
 
 use cachesim::{Machine, MachineConfig, Region};
 use ldlp::layer::SyntheticLayer;
-use ldlp::SimLayer;
 use simnet::traffic::{Arrival, PoissonSource, TrafficSource};
 
 /// Per-layer parameters of the signalling stack: name, code bytes, data
@@ -35,7 +34,7 @@ pub const SETUP_BYTES: u32 = 108;
 pub const RELEASE_BYTES: u32 = 44;
 
 /// Builds the signalling stack on `cfg` with seeded random placement.
-pub fn signaling_stack(cfg: MachineConfig, seed: u64) -> (Machine, Vec<Box<dyn SimLayer>>) {
+pub fn signaling_stack(cfg: MachineConfig, seed: u64) -> (Machine, Vec<SyntheticLayer>) {
     let line = cfg.icache.line_size;
     let window = Region::new(0x0010_0000, 4 << 20);
     let data_window = Region::new(0x0800_0000, 1 << 20);
@@ -46,10 +45,7 @@ pub fn signaling_stack(cfg: MachineConfig, seed: u64) -> (Machine, Vec<Box<dyn S
         .map(|&(name, code, data, cycles)| {
             let code_region = code_place.place(((code as f64) * cfg.code_density) as u64);
             let data_region = data_place.place(data);
-            Box::new(
-                SyntheticLayer::new(name, code_region, data_region, line)
-                    .with_cycles(cycles, 0.5),
-            ) as Box<dyn SimLayer>
+            SyntheticLayer::new(name, code_region, data_region, line).with_cycles(cycles, 0.5)
         })
         .collect();
     (Machine::new(cfg), layers)

@@ -159,7 +159,7 @@ impl SimReport {
         // still cost cache lines), so these slices can be longer than
         // the latency sample set.
         let miss_n = imisses.len().max(1) as f64;
-        latencies_us.sort_by(|a, b| a.total_cmp(b));
+        sort_samples(latencies_us);
         r.mean_latency_us = latencies_us.iter().sum::<f64>() / n as f64;
         r.p50_latency_us = percentile(latencies_us, 0.50);
         r.p99_latency_us = percentile(latencies_us, 0.99);
@@ -288,7 +288,7 @@ impl ClassSamples {
     /// samples in place. `slo_us` is the class's latency objective
     /// (0 = none; attainment reports 1 then).
     pub fn report(&mut self, slo_us: f64) -> ClassReport {
-        self.latencies_us.sort_by(|a, b| a.total_cmp(b));
+        sort_samples(&mut self.latencies_us);
         let processed = (self.completed + self.rejected).max(1) as f64;
         let within = if slo_us > 0.0 {
             self.latencies_us.iter().filter(|&&l| l <= slo_us).count() as u64
@@ -370,6 +370,14 @@ impl ClassReport {
             slo_attainment: sum(|r| r.slo_attainment),
         })
     }
+}
+
+/// Sorts latency samples ascending under `total_cmp`. The unstable sort
+/// gives the same slice as a stable one: samples equal under `total_cmp`
+/// are bit-identical, so their order cannot be observed. Unlike the
+/// stable sort it never allocates a merge buffer.
+fn sort_samples(samples: &mut [f64]) {
+    samples.sort_unstable_by(f64::total_cmp);
 }
 
 /// Percentile of an ascending-sorted slice, `q` in [0, 1], with linear
@@ -492,6 +500,29 @@ mod tests {
         assert_eq!(percentile(&v, 0.5), 3.0);
         assert_eq!(percentile(&v, 1.0), 5.0);
         assert_eq!(percentile(&[], 0.5), 0.0);
+    }
+
+    #[test]
+    fn unstable_sample_sort_matches_stable_sort_bit_for_bit() {
+        // Few distinct values, so every slice is full of ties, plus both
+        // zeros, which compare equal under `==` but not under total_cmp.
+        let pool = [0.0, -0.0, 1.5, -1.5, 3.25, f64::INFINITY, f64::NAN, 1e-300];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for len in [0usize, 1, 2, 19, 21, 100, 1000] {
+            let mut samples: Vec<f64> = (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    pool[(x % pool.len() as u64) as usize]
+                })
+                .collect();
+            let mut stable = samples.clone();
+            stable.sort_by(f64::total_cmp);
+            sort_samples(&mut samples);
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&samples), bits(&stable), "len {len}");
+        }
     }
 
     #[test]
